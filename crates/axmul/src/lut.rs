@@ -28,10 +28,28 @@ use crate::mult::{ExactMultiplier, Multiplier8};
 #[derive(Clone)]
 pub struct MulLut {
     table: Box<[u16; 65536]>,
+    /// Whether `table` holds exactly `a · b` at every entry.
+    exact: bool,
     description: String,
 }
 
 impl MulLut {
+    /// Wraps a filled table, recording whether its contents are the
+    /// exact product table.
+    fn from_table(table: Box<[u16]>, description: String) -> Self {
+        // lint: allow(panic) — every constructor fills exactly 65536 entries
+        let table: Box<[u16; 65536]> = table.try_into().expect("sized 65536");
+        let exact = table
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| u32::from(v) == (i as u32 >> 8) * (i as u32 & 0xff));
+        MulLut {
+            table,
+            exact,
+            description,
+        }
+    }
+
     /// Tabulates `model` exhaustively over all 65 536 input pairs.
     pub fn tabulate(model: &dyn Multiplier8) -> Self {
         let mut table = vec![0u16; 65536].into_boxed_slice();
@@ -40,11 +58,7 @@ impl MulLut {
                 table[((a as usize) << 8) | b as usize] = model.multiply(a as u8, b as u8);
             }
         }
-        MulLut {
-            // lint: allow(panic) — the table length is pinned to 65536 entries by the preceding check
-            table: table.try_into().expect("sized 65536"),
-            description: model.description(),
-        }
+        Self::from_table(table, model.description())
     }
 
     /// The exact 8×8 multiplier's table.
@@ -106,11 +120,10 @@ impl MulLut {
                 table[idx] = map_out(idx as u32, base);
             }
         }
-        MulLut {
-            // lint: allow(panic) — the table length is pinned to 65536 entries by the preceding check
-            table: table.try_into().expect("sized 65536"),
-            description: format!("{} [{}]", self.description, description_suffix),
-        }
+        Self::from_table(
+            table,
+            format!("{} [{}]", self.description, description_suffix),
+        )
     }
 
     /// `true` when every tabulated product is zero — a dead multiplier
@@ -118,6 +131,16 @@ impl MulLut {
     /// produce signal and fall back to a working component.
     pub fn is_dead(&self) -> bool {
         self.table.iter().all(|&v| v == 0)
+    }
+
+    /// `true` when every entry is the exact product `a · b`. Decided
+    /// from the table's contents at construction, not from which model
+    /// produced it, so an approximate component that is exact on all
+    /// 8-bit inputs, or a fault view that leaves the exact table
+    /// unchanged, also reports `true`. Kernels may then replace the
+    /// lookup with a plain multiply without changing any output.
+    pub fn is_exact(&self) -> bool {
+        self.exact
     }
 
     /// `true` when this table is entry-for-entry identical to `other`.
@@ -286,6 +309,28 @@ mod tests {
         assert_eq!(lut.mul(0, 200), 0);
         assert_eq!(lut.mul(12, 11), 132);
         assert!(lut.description().contains("exact"));
+        assert!(lut.is_exact());
+    }
+
+    #[test]
+    fn exactness_is_read_from_the_table_contents() {
+        let lib = MultiplierLibrary::evo_approx_like();
+        let exact_component = MulLut::tabulate(lib.find("mul8u_1JFF").unwrap().model());
+        assert!(exact_component.is_exact());
+        let approx = MulLut::tabulate(lib.find("mul8u_NGR").unwrap().model());
+        assert!(!approx.is_exact());
+        // An identity fault view of the exact table is still exact; a
+        // view that changes one entry is not.
+        let base = MulLut::exact();
+        assert!(base
+            .faulted_view("identity", |a| a, |b| b, |_, v| v)
+            .is_exact());
+        let one_off =
+            base.faulted_view("entry", |a| a, |b| b, |idx, v| v ^ u16::from(idx == 0x0102));
+        assert!(!one_off.is_exact());
+        assert!(!approx
+            .faulted_view("identity", |a| a, |b| b, |_, v| v)
+            .is_exact());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::time::Instant;
 use redcane::datapath::DatapathAssignment;
 use redcane::report::json::Value;
 use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore};
+use redcane_axmul::mult::TruncatedMultiplier;
 use redcane_axmul::LutCache;
 use redcane_capsnet::routing::{
     dynamic_routing, dynamic_routing_backward, reference as routing_reference,
@@ -102,10 +103,12 @@ fn gemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProb
     }
 }
 
-/// Quantized-GEMM probe: the blocked integer kernel (exact-multiplier
-/// LUT) against its naive reference twin, same shapes as the float
-/// probes so the int-vs-float cost is directly comparable.
-fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
+/// Quantized-GEMM probe: the blocked integer kernel under `lut` against
+/// its naive reference twin, same shapes as the float probes so the
+/// int-vs-float cost is directly comparable. The exact table takes the
+/// kernel's plain-multiply path; an approximate one (see
+/// [`approx_lut`]) times the LUT path.
+fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, lut: &MulLut, reps: usize) -> PerfProbe {
     let mut rng = TensorRng::from_seed(81);
     let a: Vec<u8> = (0..m * k)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
@@ -113,16 +116,15 @@ fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfPro
     let b: Vec<u8> = (0..k * n)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
         .collect();
-    let lut = MulLut::exact();
     let mut c = vec![0u32; m * n];
     let fast = time_ns(reps, || {
         c.fill(0);
-        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
+        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, lut);
         std::hint::black_box(&c);
     });
     let naive = time_ns(reps, || {
         c.fill(0);
-        qkernels::reference::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
+        qkernels::reference::qgemm_nn(&a, &b, &mut c, m, k, n, lut);
         std::hint::black_box(&c);
     });
     PerfProbe {
@@ -136,7 +138,8 @@ fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfPro
 /// entry against its uninstrumented body `qgemm_nn_raw`, with tracing
 /// in its default disabled state — so the "naive" twin here is the
 /// pre-hook kernel and `speedup_vs_naive` is `raw / hooked` (~1.0).
-/// The tripwire bar: disabled hooks must cost < 5% on a real shape.
+/// The tripwire bar: disabled hooks must cost < 5% on a real shape,
+/// measured on the LUT path an approximate table takes.
 fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
     let mut rng = TensorRng::from_seed(85);
     let a: Vec<u8> = (0..m * k)
@@ -145,7 +148,7 @@ fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -
     let b: Vec<u8> = (0..k * n)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
         .collect();
-    let lut = MulLut::exact();
+    let lut = approx_lut();
     let mut c = vec![0u32; m * n];
     let hooked = time_ns(reps, || {
         c.fill(0);
@@ -162,6 +165,12 @@ fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -
         ns_per_op: hooked,
         naive_ns_per_op: Some(raw),
     }
+}
+
+/// The approximate table the LUT-path qgemm probes run: a multiplier
+/// with its 4 least-significant product columns truncated.
+fn approx_lut() -> MulLut {
+    MulLut::tabulate(&TruncatedMultiplier::new(4))
 }
 
 fn conv_probe(reps: usize) -> PerfProbe {
@@ -385,6 +394,7 @@ fn artifact_load_probe<M: CapsModel + Clone + Send + Sync>(
 /// perf job on a warm store measures the restore path.
 pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     let reps = if quick { 5 } else { 40 };
+    let (exact, approx) = (MulLut::exact(), approx_lut());
     let mut probes = vec![
         // The two GEMM shapes the small CapsNet actually runs, plus a
         // square shape for context.
@@ -395,9 +405,26 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         // lowered to GEMM (C = 32 types x 8 dims, 4x4 spatial).
         gemm_probe("matmul_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
         // Integer twins of the stem and DeepCaps shapes: what one
-        // approximate-datapath sweep step costs per layer.
-        qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, reps),
-        qgemm_probe("qgemm_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
+        // datapath sweep step costs per layer, on the exact table's
+        // multiply path and on an approximate table's LUT path.
+        qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, &exact, reps),
+        qgemm_probe(
+            "qgemm_256x2304x16_deepcaps_cell4",
+            256,
+            2304,
+            16,
+            &exact,
+            reps,
+        ),
+        qgemm_probe("qgemm_24x49x100_stem_approx", 24, 49, 100, &approx, reps),
+        qgemm_probe(
+            "qgemm_256x2304x16_deepcaps_cell4_approx",
+            256,
+            2304,
+            16,
+            &approx,
+            reps,
+        ),
         // Trace-hook overhead on the disabled fast path; extra reps
         // keep the min-of-N estimate tight enough for the 5% tripwire.
         qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(50)),
@@ -495,6 +522,8 @@ mod tests {
         for name in [
             "qgemm_24x49x100_stem",
             "qgemm_256x2304x16_deepcaps_cell4",
+            "qgemm_24x49x100_stem_approx",
+            "qgemm_256x2304x16_deepcaps_cell4_approx",
             "qgemm_hooks_off_24x49x100",
             "matmul_256x2304x16_deepcaps_cell4",
             "qdp_lower_deepcaps_small",

@@ -32,6 +32,23 @@ pub(crate) fn widen_degenerate(min: f32, max: f32) -> (f32, f32) {
     (lo, hi)
 }
 
+/// Rounds `scaled` to the nearest integer, halves away from zero, and
+/// saturates it to `0..=max_code`: bit-identical to
+/// `scaled.round().clamp(0.0, max_code as f32) as u16` for every `f32`
+/// (NaN → 0), without the `roundf` libcall `f32::round` costs on
+/// targets lacking SSE4.1.
+///
+/// After the clamp, `c` lies in `[0, max_code]` (or is NaN), so the
+/// truncation `t` is exact and so is `c - t`: for `t ≥ 1`,
+/// `t ≤ c < t + 1 ≤ 2t` (Sterbenz), and for `t = 0` it is `c` itself.
+/// The half comparison therefore decides exactly as `round` does.
+#[inline]
+fn round_to_code(scaled: f32, max_code: u16) -> u16 {
+    let c = scaled.clamp(0.0, f32::from(max_code));
+    let t = c as u16;
+    t + u16::from(c - f32::from(t) >= 0.5)
+}
+
 /// Affine quantization parameters implementing Eq. 1 of the paper:
 /// `Q(x) = (x - min) / (max - min) * (2^b - 1)`.
 ///
@@ -109,10 +126,10 @@ impl QuantParams {
     }
 
     /// Quantizes a value to its nearest code, saturating at the range edges
-    /// (Eq. 1).
+    /// (Eq. 1). Halves round away from zero; NaN maps to code 0.
     pub fn quantize(&self, x: f32) -> u16 {
         let scaled = (x - self.min) / (self.max - self.min) * self.max_code() as f32;
-        scaled.round().clamp(0.0, self.max_code() as f32) as u16
+        round_to_code(scaled, self.max_code())
     }
 
     /// Reconstructs the value at the center of `code`'s quantization cell.
@@ -325,5 +342,141 @@ mod tests {
     #[test]
     fn default_quantizer_is_8_bit() {
         assert_eq!(Quantizer::default().bits(), 8);
+    }
+
+    /// The `f32::round` form `round_to_code` replaces.
+    fn round_then_clamp(scaled: f32, max_code: u16) -> u16 {
+        scaled.round().clamp(0.0, f32::from(max_code)) as u16
+    }
+
+    fn assert_rounds_alike(scaled: f32, max_code: u16) {
+        assert_eq!(
+            round_to_code(scaled, max_code),
+            round_then_clamp(scaled, max_code),
+            "scaled = {scaled:e} ({:#010x}), max_code = {max_code}",
+            scaled.to_bits()
+        );
+    }
+
+    /// `v` and the `f32`s up to `ulps` steps below and above it,
+    /// crossing zero and stopping at ±inf.
+    fn ulp_neighbours(v: f32, ulps: i32) -> impl Iterator<Item = f32> {
+        (-ulps..=ulps).map(move |d| {
+            let mut x = v;
+            for _ in 0..d.unsigned_abs() {
+                x = if d > 0 { next_up(x) } else { -next_up(-x) };
+            }
+            x
+        })
+    }
+
+    /// The next representable `f32` above `x` (`x` itself at +inf/NaN).
+    fn next_up(x: f32) -> f32 {
+        if x.is_nan() || x == f32::INFINITY {
+            return x;
+        }
+        if x == 0.0 {
+            return f32::from_bits(1);
+        }
+        let bits = x.to_bits();
+        f32::from_bits(if x > 0.0 { bits + 1 } else { bits - 1 })
+    }
+
+    #[test]
+    fn rounding_matches_round_clamp_around_every_half_integer() {
+        for max_code in [255u16, 65535] {
+            // Every tie k + 0.5 the clamp can reach, its negative, and
+            // the clamp edges themselves, each ±8 ulps.
+            let edges = (0..=max_code)
+                .flat_map(|k| [f32::from(k) + 0.5, -(f32::from(k) + 0.5)])
+                .chain([0.0, f32::from(max_code), f32::from(max_code) + 1.0]);
+            for v in edges {
+                for x in ulp_neighbours(v, 8) {
+                    assert_rounds_alike(x, max_code);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rounding_matches_round_clamp_on_special_values() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xff80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::MIN,
+            8_388_608.0,
+            16_777_216.0,
+        ];
+        for max_code in [1u16, 255, 4095, 65535] {
+            for &x in &specials {
+                assert_rounds_alike(x, max_code);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_round_clamp_on_seeded_bit_patterns() {
+        let params = [
+            QuantParams::from_range(-1.0, 1.0, 8).unwrap(),
+            QuantParams::from_range(0.0, 6.5, 8).unwrap(),
+            QuantParams::from_range(-3.0e-3, 7.0e4, 8).unwrap(),
+            QuantParams::from_range(-2.0, 2.0, 16).unwrap(),
+        ];
+        // xorshift64*: a fixed, dependency-free pattern stream.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..1 << 18 {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let bits = (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32;
+            let x = f32::from_bits(bits);
+            assert_rounds_alike(x, 255);
+            assert_rounds_alike(x, 65535);
+            for p in &params {
+                let scaled = (x - p.min()) / (p.max() - p.min()) * f32::from(p.max_code());
+                assert_eq!(
+                    p.quantize(x),
+                    round_then_clamp(scaled, p.max_code()),
+                    "x = {x:e} under {p:?}"
+                );
+            }
+        }
+    }
+
+    /// Every one of the 2³² `f32` bit patterns, at the 8- and 16-bit
+    /// max codes. About a minute in release:
+    /// `cargo test --release -p redcane-fxp -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 patterns; run with --release -- --ignored"]
+    fn rounding_matches_round_clamp_on_every_f32() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(8)) as u64;
+        let span = (1u64 << 32).div_ceil(workers);
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                scope.spawn(move || {
+                    let end = ((w + 1) * span).min(1 << 32);
+                    for bits in w * span..end {
+                        let x = f32::from_bits(bits as u32);
+                        for max_code in [255u16, 65535] {
+                            if round_to_code(x, max_code) != round_then_clamp(x, max_code) {
+                                assert_rounds_alike(x, max_code);
+                            }
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -1,24 +1,43 @@
 //! Blocked integer GEMM kernels over a pluggable 8-bit multiply.
 //!
-//! [`qgemm_nn`] picks between two loop orders by reduction depth.
-//! Deep reductions (`k ≥ TALL_K`) compute the output in `MR×NR`
-//! **register tiles**: `u32` accumulators for the whole tile live in a
-//! local array across the entire `k` loop, so `C` is read and written
-//! exactly once per tile instead of once per `k` step — the memory
-//! traffic that capped the tall-`k` DeepCaps shapes at ~1.1× over
-//! naive. Short reductions **stream** each `B` row across all `MR`
-//! output rows at full width, amortizing loop overhead over `n`. Both
-//! paths hoist the left operand's 256-entry LUT row, leaving the
-//! 64 KiB [`MulLut`] the only irregular access, and both reduce in
-//! ascending-`k` order so the dispatch never changes an output bit.
+//! [`qgemm_nn`] dispatches three ways:
+//!
+//! - **Exact table** ([`MulLut::is_exact`]): no lookups at all. Each
+//!   product is a `u8 × u8 → u16` multiply widened into the `u32` sum,
+//!   which vectorizes even on baseline SSE2. It splits on `TALL_K`
+//!   into the same two loop orders as the LUT paths below, and runs
+//!   full register tiles at constant width.
+//! - **Approximate table, deep reduction** (`k ≥ TALL_K`): the output
+//!   is computed in `MR×NR` **register tiles**. `u32` accumulators for
+//!   the whole tile live in a local array across the entire `k` loop,
+//!   so `C` is read and written exactly once per tile instead of once
+//!   per `k` step — the memory traffic that capped the tall-`k`
+//!   DeepCaps shapes at ~1.1× over naive.
+//! - **Approximate table, short reduction**: each `B` row is
+//!   **streamed** across all `MR` output rows at full width, amortizing
+//!   loop overhead over `n`.
+//!
+//! Both LUT paths hoist the left operand's 256-entry row, leaving the
+//! 64 KiB [`MulLut`] the only irregular access. Every path sums the
+//! same products, so the dispatch never changes an output bit.
+//!
+//! Exactness is read from the table's 65 536 entries when the table is
+//! built, not from a component name or model type. The library's exact
+//! component, `MulLut::exact()` and a fault view that leaves the table
+//! unchanged therefore all take the multiply path, while a table that
+//! differs from the product in a single entry — say one stuck output
+//! bit that only shows on some operands — can never be mistaken for
+//! exact.
+//!
 //! The accumulator is `u32` (8×8 products are ≤ 65 025, so `k` can
 //! reach ~66 000 before overflow — far beyond any layer in the
 //! workspace; debug builds assert the bound).
 //!
 //! The naive triple loop survives as [`reference`], the correctness
-//! oracle both paths are property-tested against (bit-identical
+//! oracle every path is property-tested against (bit-identical
 //! output — trivially order-independent for integer adds, but the test
-//! keeps the tiling honest across the `TALL_K` split).
+//! keeps the tiling honest across the `TALL_K` split and the exact
+//! dispatch).
 //!
 //! [`affine_dequant`] folds an integer accumulator matrix back to
 //! float: with `value(q) = min + lsb·q` on both operands,
@@ -60,10 +79,11 @@ pub fn qgemm_nn(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
         trace::add(trace::Counter::QgemmCalls, 1);
         trace::add(trace::Counter::QgemmMacs, (m * k * n) as u64);
         // Analytic twin of each path's `lut.row()` call count: the
-        // tall-k tile path hoists one row per (tile, k-step, tile-row),
-        // the streaming path one per (output-row, k-step). Kept in
+        // exact-table paths multiply and fetch none, the tall-k tile
+        // path hoists one row per (tile, k-step, tile-row), the
+        // streaming path one per (output-row, k-step). Kept in
         // lock-step with the dispatch below by the trace count tests.
-        let fetches = if m > 0 && n > 0 && k > 0 {
+        let fetches = if m > 0 && n > 0 && k > 0 && !lut.is_exact() {
             if k >= TALL_K {
                 (n.div_ceil(NR) * m * k) as u64
             } else {
@@ -92,13 +112,15 @@ pub fn qgemm_nn_raw(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: us
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Both paths reduce each output element in ascending-k order with
+    // Every path sums the same products into each output element with
     // u32 adds, so the choice never changes a single output bit — only
-    // which memory traffic is paid.
-    if k >= TALL_K {
-        qgemm_tall_k(a, b, c, m, k, n, lut);
-    } else {
-        qgemm_stream(a, b, c, m, k, n, lut);
+    // which memory traffic is paid. An exact table's products are
+    // plain multiplies, so it skips the lookups altogether.
+    match (lut.is_exact(), k >= TALL_K) {
+        (true, true) => qgemm_tall_k_exact(a, b, c, m, k, n),
+        (true, false) => qgemm_stream_exact(a, b, c, m, k, n),
+        (false, true) => qgemm_tall_k(a, b, c, m, k, n, lut),
+        (false, false) => qgemm_stream(a, b, c, m, k, n, lut),
     }
 }
 
@@ -152,6 +174,71 @@ fn qgemm_stream(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
                 for (o, &bv) in crow.iter_mut().zip(brow) {
                     *o += row[bv as usize] as u32;
                 }
+            }
+        }
+    }
+}
+
+/// `acc[j] += a · b[j]` under the exact multiplier. `a · b ≤ 65 025`
+/// fits a `u16`, so each product is one 16-bit multiply — a vector
+/// `pmullw` even on baseline SSE2.
+#[inline(always)]
+fn mac_exact(acc: &mut [u32], b: &[u8], a: u8) {
+    let a = u16::from(a);
+    for (o, &bv) in acc.iter_mut().zip(b) {
+        *o += u32::from(a * u16::from(bv));
+    }
+}
+
+/// Exact-table twin of [`qgemm_tall_k`]: the same `MR × NR` register
+/// tiles with multiplies for lookups. Full tiles get their own loop
+/// with constant widths, so each tile row is one fixed-width vector
+/// operation; edge tiles take the general loop.
+#[inline(never)]
+fn qgemm_tall_k_exact(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize) {
+    for i0 in (0..m).step_by(MR) {
+        let mr = MR.min(m - i0);
+        for j0 in (0..n).step_by(NR) {
+            let nr = NR.min(n - j0);
+            let mut acc = [[0u32; NR]; MR];
+            if mr == MR && nr == NR {
+                for p in 0..k {
+                    let brow = &b[p * n + j0..p * n + j0 + NR];
+                    for (r, arow) in acc.iter_mut().enumerate() {
+                        mac_exact(arow, brow, a[(i0 + r) * k + p]);
+                    }
+                }
+            } else {
+                for p in 0..k {
+                    let brow = &b[p * n + j0..p * n + j0 + nr];
+                    for (r, arow) in acc.iter_mut().enumerate().take(mr) {
+                        mac_exact(&mut arow[..nr], brow, a[(i0 + r) * k + p]);
+                    }
+                }
+            }
+            for (r, arow) in acc.iter().enumerate().take(mr) {
+                let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
+                for (o, &v) in crow.iter_mut().zip(&arow[..nr]) {
+                    *o += v;
+                }
+            }
+        }
+    }
+}
+
+/// Exact-table twin of [`qgemm_stream`].
+#[inline(never)]
+fn qgemm_stream_exact(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize) {
+    for i0 in (0..m).step_by(MR) {
+        let mr = MR.min(m - i0);
+        for p in 0..k {
+            let brow = &b[p * n..(p + 1) * n];
+            for r in 0..mr {
+                mac_exact(
+                    &mut c[(i0 + r) * n..(i0 + r + 1) * n],
+                    brow,
+                    a[(i0 + r) * k + p],
+                );
             }
         }
     }

@@ -18,7 +18,6 @@ use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
 use redcane_nn::layers::{Conv2d, Dense};
-use redcane_tensor::ops::conv::im2col_slice;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
 
@@ -29,7 +28,7 @@ use redcane_axmul::MulLut;
 
 use crate::faults::MacView;
 use crate::kernels::{affine_dequant, col_sums, qgemm_nn, row_sums};
-use crate::qtensor::{fault_codes, quantize_codes};
+use crate::qtensor::{fault_codes, im2col_codes, quantize_codes};
 
 // ------------------------------------------------------------- QDense
 
@@ -169,10 +168,10 @@ impl QConv2d {
     }
 
     /// Forward over a raw `[C_in, H, W]` slice through the quantized
-    /// GEMM, mirroring `Conv2d::forward_chw`: im2col (the existing
-    /// float machinery — padding zeros land on the affine zero point),
-    /// quantize the columns, accumulate `lut` products, dequantize with
-    /// the zero-point correction and add the bias.
+    /// GEMM, mirroring `Conv2d::forward_chw`: im2col over the input's
+    /// codes (padding lands on the code of 0.0, the affine zero point),
+    /// accumulate `lut` products, dequantize with the zero-point
+    /// correction and add the bias.
     ///
     /// # Panics
     ///
@@ -183,62 +182,27 @@ impl QConv2d {
 
     /// [`QConv2d::forward_chw`] under a full site view: the table plus
     /// an optional accumulator fault, applied to each output element at
-    /// its `c_out`-major position after the reduction completes.
+    /// its `c_out`-major position after the reduction completes. A
+    /// batch of one through [`QConv2d::forward_batch_chw_view`].
     ///
     /// # Panics
     ///
     /// As [`QConv2d::forward_chw`].
     pub fn forward_chw_view(&self, data: &[f32], h: usize, w: usize, view: MacView<'_>) -> Tensor {
-        assert_eq!(data.len(), self.c_in * h * w, "QConv2d input size");
-        // lint: allow(panic) — geometry was validated when the layer was constructed
-        let h_out = self.spec.output_size(h).expect("valid geometry");
-        // lint: allow(panic) — geometry was validated when the layer was constructed
-        let w_out = self.spec.output_size(w).expect("valid geometry");
-        let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
-        let n = h_out * w_out;
-        let mut cols = vec![0.0f32; k2 * n];
-        // lint: allow(panic) — input dims were validated against the spec just above
-        im2col_slice(data, self.c_in, h, w, self.spec, &mut cols).expect("valid conv input");
-        let qcols = quantize_codes(&cols, self.in_params);
-        let mut acc = vec![0u32; self.c_out * n];
-        qgemm_nn(&self.qweight, &qcols, &mut acc, self.c_out, k2, n, view.lut);
-        if let Some(f) = view.acc {
-            // Per-sample layout is [C_out, N]: the linear index IS the
-            // sample-local element index the batched path uses.
-            for (idx, slot) in acc.iter_mut().enumerate() {
-                *slot = f.apply(*slot, idx as u64);
-            }
-        }
-        let cs = col_sums(&qcols, k2, n);
-        let mut out = vec![0.0f32; self.c_out * n];
-        affine_dequant(
-            &acc,
-            &self.wrowsums,
-            &cs,
-            k2,
-            self.wparams,
-            self.in_params,
-            &mut out,
-        );
-        for (co, orow) in out.chunks_exact_mut(n).enumerate() {
-            let b = self.bias[co];
-            if b != 0.0 {
-                for v in orow {
-                    *v += b;
-                }
-            }
-        }
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(out, &[self.c_out, h_out, w_out]).expect("conv output shape")
+        let mut out = self.forward_batch_chw_view(&[data], h, w, view);
+        // lint: allow(panic) — the batched path returns one tensor per input
+        out.pop().expect("one output per input")
     }
 
     /// Batched twin of [`QConv2d::forward_chw`]: fuses every sample's
     /// im2col columns into **one** wide quantized GEMM (`[C_out, K²] ×
     /// [K², B·H'·W']`), then splits the dequantized output back into
-    /// per-sample tensors. Bit-identical to calling `forward_chw` per
-    /// sample — quantization is elementwise and each output column's
-    /// integer reduction is independent — while amortizing the kernel's
-    /// tile setup and keeping the LUT hot across the whole batch.
+    /// per-sample tensors. Each output column's integer reduction is
+    /// independent of the others, so every sample's result is what a
+    /// batch of one gives, while the kernel's tile setup is amortized
+    /// and the LUT stays hot across the whole batch. The column codes
+    /// come from [`im2col_codes`]: each input element is quantized
+    /// once, not once per kernel tap.
     ///
     /// # Panics
     ///
@@ -282,18 +246,9 @@ impl QConv2d {
         let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
         let n = h_out * w_out;
         let wide = bsz * n;
-        let mut cols = vec![0.0f32; k2 * n];
-        let mut fused = vec![0.0f32; k2 * wide];
-        for (bi, data) in inputs.iter().enumerate() {
-            assert_eq!(data.len(), self.c_in * h * w, "QConv2d batch input size");
-            // lint: allow(panic) — input dims were validated against the spec just above
-            im2col_slice(data, self.c_in, h, w, self.spec, &mut cols).expect("valid conv input");
-            for r in 0..k2 {
-                fused[r * wide + bi * n..r * wide + bi * n + n]
-                    .copy_from_slice(&cols[r * n..(r + 1) * n]);
-            }
-        }
-        let qcols = quantize_codes(&fused, self.in_params);
+        let qcols = im2col_codes(inputs, self.c_in, h, w, self.spec, self.in_params)
+            // lint: allow(panic) — the documented contract: inputs are c_in·h·w with valid geometry
+            .expect("QConv2d batch input size");
         let mut acc = vec![0u32; self.c_out * wide];
         qgemm_nn(
             &self.qweight,

@@ -2,7 +2,9 @@
 //! parameters — the value representation of the quantized datapath.
 
 use redcane_fxp::QuantParams;
-use redcane_tensor::Tensor;
+use redcane_tensor::ops::Conv2dSpec;
+use redcane_tensor::{Tensor, TensorError};
+use redcane_trace as trace;
 
 /// A tensor quantized to 8-bit codes under an affine [`QuantParams`]
 /// mapping (Eq. 1 of the paper), as stored in the accelerator's
@@ -98,6 +100,85 @@ impl QTensor {
 pub fn quantize_codes(data: &[f32], params: QuantParams) -> Vec<u8> {
     assert_eq!(params.bits(), 8, "the qdp datapath is 8-bit");
     data.iter().map(|&v| params.quantize(v) as u8).collect()
+}
+
+/// The im2col matrix of a batch of `[C, H, W]` inputs, as 8-bit codes:
+/// `[C·K², B·H'·W']`, sample `b`'s columns at `b·H'·W'..(b+1)·H'·W'`.
+///
+/// Equal, slot for slot, to quantizing each sample's float
+/// `im2col_slice` under `params` and placing the columns side by side,
+/// because quantization is elementwise: each input element is
+/// quantized once, and the slots are gathered from those codes through
+/// one index map shared by the batch. Padded taps read
+/// `params.quantize(0.0)`, the code of the zero the float im2col
+/// writes there.
+///
+/// # Errors
+///
+/// [`TensorError`] if a sample is not `c·h·w` long or the geometry is
+/// invalid for `spec`.
+///
+/// # Panics
+///
+/// Panics unless `params` is 8-bit.
+pub fn im2col_codes(
+    inputs: &[&[f32]],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    params: QuantParams,
+) -> Result<Vec<u8>, TensorError> {
+    let (h_out, w_out) = (spec.output_size(h)?, spec.output_size(w)?);
+    let chw = c * h * w;
+    let k2 = c * spec.kernel * spec.kernel;
+    let n = h_out * w_out;
+    let wide = inputs.len() * n;
+    // Index of the input element each slot of one sample reads, or
+    // `chw` — one past the input, where the pad code sits.
+    let mut map = Vec::with_capacity(k2 * n);
+    let tap = |o: usize, kk: usize, len: usize| {
+        (o * spec.stride + kk)
+            .checked_sub(spec.padding)
+            .filter(|&i| i < len)
+    };
+    for ci in 0..c {
+        for ky in 0..spec.kernel {
+            for kx in 0..spec.kernel {
+                for oy in 0..h_out {
+                    let iy = tap(oy, ky, h);
+                    for ox in 0..w_out {
+                        map.push(match (iy, tap(ox, kx, w)) {
+                            (Some(iy), Some(ix)) => (ci * h + iy) * w + ix,
+                            _ => chw,
+                        } as u32);
+                    }
+                }
+            }
+        }
+    }
+    let pad = params.quantize(0.0) as u8;
+    let mut out = vec![0u8; k2 * wide];
+    for (bi, data) in inputs.iter().enumerate() {
+        if data.len() != chw {
+            return Err(TensorError::LengthMismatch {
+                shape: vec![c, h, w],
+                len: data.len(),
+            });
+        }
+        let mut codes = quantize_codes(data, params);
+        codes.push(pad);
+        for (dst, idx) in out.chunks_exact_mut(wide).zip(map.chunks_exact(n)) {
+            for (slot, &i) in dst[bi * n..(bi + 1) * n].iter_mut().zip(idx) {
+                *slot = codes[i as usize];
+            }
+        }
+    }
+    if trace::enabled() {
+        // The gathered column matrix, one byte per slot.
+        trace::add(trace::Counter::Im2colBytes, (k2 * wide) as u64);
+    }
+    Ok(out)
 }
 
 /// Applies a deterministic [`FaultModel`](redcane::faults::FaultModel)

@@ -81,13 +81,15 @@ pub enum Counter {
     QgemmMacs,
     /// 256-entry `MulLut` rows fetched by qgemm (counted analytically
     /// per call, matching the kernel's dispatch: the tall-`k`
-    /// register-tile path re-fetches each row once per column tile).
+    /// register-tile path re-fetches each row once per column tile,
+    /// and an exact table's multiply paths fetch none).
     LutRowFetches,
     /// `LutCache` lookups that found a tabulated component.
     LutCacheHits,
     /// `LutCache` lookups that missed.
     LutCacheMisses,
-    /// Bytes materialized by im2col lowering (`rows · cols · 4`).
+    /// Bytes materialized by im2col lowering: `rows · cols · 4` for the
+    /// float im2col, `rows · cols` for the quantized code gather.
     Im2colBytes,
     /// `par` parallel-for invocations (not worker spawns).
     ParCalls,
