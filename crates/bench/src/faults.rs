@@ -20,13 +20,14 @@
 //! - **a dead multiplier array** — with `fail_soft`, the site
 //!   downgrades to the exact multiplier and the row reports the
 //!   downgrade; without it, the row records the refusal
-//!   ([`BackendError::DeadSite`]) instead of an accuracy.
+//!   ([`BackendError::DeadSite`](redcane::datapath::BackendError::DeadSite))
+//!   instead of an accuracy.
 //!
 //! Each fault model is additionally *characterized* — mean and RMS
 //! product error over the run's empirical operand pools, normalized by
 //! the full-scale product — mirroring the `(NA, NM)` characterization
 //! of approximate components; the table is cached in the same
-//! trained-artifact entry the `qdp` bench uses ([`TrainKnobs`]).
+//! trained-artifact entry the `qdp` bench uses (`qdp::TrainKnobs`).
 //!
 //! Beyond the single-site trials, each architecture runs one
 //! **correlated multi-site plan**: a single [`FaultPlan`] carrying a

@@ -33,8 +33,8 @@
 //! reach ~66 000 before overflow — far beyond any layer in the
 //! workspace; debug builds assert the bound).
 //!
-//! The naive triple loop survives as [`reference`], the correctness
-//! oracle every path is property-tested against (bit-identical
+//! The naive triple loop survives as [`reference`](mod@reference),
+//! the correctness oracle every path is property-tested against (bit-identical
 //! output — trivially order-independent for integer adds, but the test
 //! keeps the tiling honest across the `TALL_K` split and the exact
 //! dispatch).

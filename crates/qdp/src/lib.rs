@@ -16,9 +16,9 @@
 //!    points; [`QuantRanges`] maps every observed `(layer, op kind)`
 //!    site to its fixed requantization range ([`calibrate_ranges`]).
 //! 2. **Lower** — every float layer lowers itself to its quantized
-//!    counterpart through [`LowerToQuant`] (`Dense`→`QDense`,
-//!    `Conv2d`→`QConv2d`, `ConvCaps2d`→`QConvCaps2d`,
-//!    `ConvCaps3d`→`QConvCaps3d`, `ClassCaps`→`QClassCaps`);
+//!    counterpart through [`LowerToQuant`] (`Conv2d`→`QConv2d`,
+//!    `ConvCaps2d`→`QConvCaps2d`, `ConvCaps3d`→`QConvCaps3d`,
+//!    `ClassCaps`→`QClassCaps`);
 //!    [`QModel::lower`] assembles them into a dataflow program for the
 //!    whole network whose steps remember their **site** keys. Weights
 //!    and activations become 8-bit codes ([`QTensor`], Eq. 1 of the
@@ -26,21 +26,22 @@
 //!    whose every multiply is a [`MulLut`] lookup — a 64 KiB table of
 //!    any [`Multiplier8`](redcane_axmul::Multiplier8)'s full truth
 //!    table.
-//! 3. **Run** — [`QModel`] executes end-to-end inference (per sample,
-//!    or batch-fused into wide GEMMs via [`QModel::forward_batch`])
-//!    under a [`DatapathAssignment`]: a *heterogeneous* map from site
-//!    keys to multiplier components, resolved against a [`LutCache`]
-//!    holding one shared table per distinct component. Both of the
-//!    paper's architectures (CapsNet and the 17-layer DeepCaps, Caps3D
+//! 3. **Run** — [`QModel`] executes end-to-end inference on one
+//!    batched path: each quantized layer has a single forward method
+//!    that fuses the batch into wide GEMMs (a single sample is a batch
+//!    of one, [`QModel::forward`]). It runs under a
+//!    [`DatapathAssignment`]: a *heterogeneous* map from site keys to
+//!    multiplier components, resolved against a [`LutCache`] holding
+//!    one shared table per distinct component. Both of the paper's
+//!    architectures (CapsNet and the 17-layer DeepCaps, Caps3D
 //!    routing included) run the same executor, from the uniform exact
 //!    baseline to the methodology's full Step-6 per-layer design.
 //!
 //! [`QuantMeasured`] packages all of that behind `redcane`'s
-//! [`AccuracyBackend`](redcane::datapath::AccuracyBackend) trait, so
-//! the *measured* accuracy of any assignment is interchangeable with
-//! the noise-*predicted* accuracy of the same assignment — the paper's
-//! validation loop, closed over both networks and over heterogeneous
-//! designs.
+//! [`AccuracyBackend`] trait, so the *measured* accuracy of any
+//! assignment is interchangeable with the noise-*predicted* accuracy of
+//! the same assignment — the paper's validation loop, closed over both
+//! networks and over heterogeneous designs.
 #![forbid(unsafe_code)]
 
 pub mod backend;
@@ -56,10 +57,7 @@ pub use backend::{FaultMeasured, QuantMeasured};
 pub use calib::CalibrationObserver;
 pub use faults::{faulted_site_lut, AccFault, MacView};
 pub use lower::{calibrate_ranges, LowerError, LowerToQuant, QuantRanges};
-pub use qlayers::{
-    quantized_routing, quantized_routing_view, QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d,
-    QDense, QVotes,
-};
+pub use qlayers::{quantized_routing, QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d, QVotes};
 pub use qmodel::{evaluate_quantized, PreparedModel, QModel, QStep};
 pub use qtensor::{fault_codes, QTensor};
 // The LUT machinery lives beside the multiplier models in

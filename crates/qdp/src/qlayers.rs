@@ -1,15 +1,20 @@
-//! Quantized layer forward paths: `Dense`, `Conv2d`, 2-D/3-D capsule
+//! Quantized layer forward paths: `Conv2d`, 2-D/3-D capsule
 //! convolutions, capsule votes and the routing MACs.
 //!
-//! Every multiply in these paths goes through a [`MulLut`] — i.e.
-//! through a behavioral model of a real 8-bit (possibly approximate)
-//! multiplier — while everything an accelerator computes exactly
-//! (code sums for the zero-point correction, bias adds, the squash /
-//! softmax special-function units) stays in float. Activations are
-//! requantized between layers with ranges fixed at calibration time,
-//! so the datapath is input-independent like the hardware it models.
+//! Every multiply in these paths goes through a
+//! [`MulLut`](redcane_axmul::MulLut) — i.e. through a behavioral model
+//! of a real 8-bit (possibly approximate) multiplier — while everything
+//! an accelerator computes exactly (code sums for the zero-point
+//! correction, bias adds, the squash / softmax special-function units)
+//! stays in float. Activations are requantized between layers with
+//! ranges fixed at calibration time, so the datapath is
+//! input-independent like the hardware it models.
 //!
-//! Each `Q*` type is the lowering target of its float counterpart via
+//! Each layer has one forward method. It takes a batch of samples and
+//! one [`MacView`] per multiplier site (the table plus an optional
+//! accumulator fault); a single sample is a batch of one, and a bare
+//! table is `MacView::clean(&lut)`. Each `Q*` type is the lowering
+//! target of its float counterpart via
 //! [`LowerToQuant`](crate::LowerToQuant); the [`QModel`](crate::QModel)
 //! program composes them into end-to-end quantized inference for any
 //! architecture.
@@ -17,96 +22,17 @@
 use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
-use redcane_nn::layers::{Conv2d, Dense};
+use redcane_nn::layers::Conv2d;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
 
 use redcane_capsnet::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
 
 use redcane::faults::FaultModel;
-use redcane_axmul::MulLut;
 
 use crate::faults::MacView;
 use crate::kernels::{affine_dequant, col_sums, qgemm_nn, row_sums};
 use crate::qtensor::{fault_codes, im2col_codes, quantize_codes};
-
-// ------------------------------------------------------------- QDense
-
-/// A [`Dense`] layer running its MAC through the quantized datapath.
-#[derive(Debug, Clone)]
-pub struct QDense {
-    qweight: Vec<u8>,
-    wparams: QuantParams,
-    wrowsums: Vec<u32>,
-    bias: Vec<f32>,
-    in_dim: usize,
-    out_dim: usize,
-    in_params: QuantParams,
-}
-
-impl QDense {
-    /// Quantizes a trained dense layer's weights (per-tensor range) and
-    /// fixes the input quantization to `in_params`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the weights contain non-finite values.
-    pub fn from_dense(layer: &Dense, in_params: QuantParams) -> Result<Self, FxpError> {
-        let wparams = QuantParams::calibrate(layer.weight(), 8)?;
-        let qweight = quantize_codes(layer.weight().data(), wparams);
-        let wrowsums = row_sums(&qweight, layer.out_dim(), layer.in_dim());
-        Ok(QDense {
-            qweight,
-            wparams,
-            wrowsums,
-            bias: layer.bias().data().to_vec(),
-            in_dim: layer.in_dim(),
-            out_dim: layer.out_dim(),
-            in_params,
-        })
-    }
-
-    /// The quantized weight codes (empirical operand pools).
-    pub fn weight_codes(&self) -> &[u8] {
-        &self.qweight
-    }
-
-    /// `y = W·x + b` with the multiplies served by `lut`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not flatten to `in_dim` elements.
-    pub fn forward(&self, x: &Tensor, lut: &MulLut) -> Tensor {
-        assert_eq!(x.len(), self.in_dim, "QDense input size");
-        let qx = quantize_codes(x.data(), self.in_params);
-        let mut acc = vec![0u32; self.out_dim];
-        qgemm_nn(
-            &self.qweight,
-            &qx,
-            &mut acc,
-            self.out_dim,
-            self.in_dim,
-            1,
-            lut,
-        );
-        let cs = col_sums(&qx, self.in_dim, 1);
-        let mut out = vec![0.0f32; self.out_dim];
-        affine_dequant(
-            &acc,
-            &self.wrowsums,
-            &cs,
-            self.in_dim,
-            self.wparams,
-            self.in_params,
-            &mut out,
-        );
-        for (o, &b) in out.iter_mut().zip(&self.bias) {
-            *o += b;
-        }
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(out, &[self.out_dim]).expect("dense output")
-    }
-}
 
 // ------------------------------------------------------------ QConv2d
 
@@ -167,68 +93,26 @@ impl QConv2d {
         next
     }
 
-    /// Forward over a raw `[C_in, H, W]` slice through the quantized
-    /// GEMM, mirroring `Conv2d::forward_chw`: im2col over the input's
-    /// codes (padding lands on the code of 0.0, the affine zero point),
-    /// accumulate `lut` products, dequantize with the zero-point
-    /// correction and add the bias.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `data.len() == c_in * h * w` with valid geometry.
-    pub fn forward_chw(&self, data: &[f32], h: usize, w: usize, lut: &MulLut) -> Tensor {
-        self.forward_chw_view(data, h, w, MacView::clean(lut))
-    }
-
-    /// [`QConv2d::forward_chw`] under a full site view: the table plus
-    /// an optional accumulator fault, applied to each output element at
-    /// its `c_out`-major position after the reduction completes. A
-    /// batch of one through [`QConv2d::forward_batch_chw_view`].
-    ///
-    /// # Panics
-    ///
-    /// As [`QConv2d::forward_chw`].
-    pub fn forward_chw_view(&self, data: &[f32], h: usize, w: usize, view: MacView<'_>) -> Tensor {
-        let mut out = self.forward_batch_chw_view(&[data], h, w, view);
-        // lint: allow(panic) — the batched path returns one tensor per input
-        out.pop().expect("one output per input")
-    }
-
-    /// Batched twin of [`QConv2d::forward_chw`]: fuses every sample's
-    /// im2col columns into **one** wide quantized GEMM (`[C_out, K²] ×
-    /// [K², B·H'·W']`), then splits the dequantized output back into
-    /// per-sample tensors. Each output column's integer reduction is
-    /// independent of the others, so every sample's result is what a
-    /// batch of one gives, while the kernel's tile setup is amortized
-    /// and the LUT stays hot across the whole batch. The column codes
+    /// Forward over a batch of raw `[C_in, H, W]` slices, mirroring
+    /// `Conv2d::forward_chw`. Every sample's im2col columns fuse into
+    /// **one** wide quantized GEMM (`[C_out, K²] × [K², B·H'·W']`),
+    /// whose dequantized output is split back into per-sample
+    /// `[C_out, H', W']` tensors with the bias added. The column codes
     /// come from [`im2col_codes`]: each input element is quantized
-    /// once, not once per kernel tap.
+    /// once, and padding lands on the code of 0.0, the affine zero
+    /// point. Each output column reduces independently, so a sample's
+    /// result does not depend on the rest of the batch.
+    ///
+    /// `view.acc`, when set, faults each accumulator after its
+    /// reduction at the element's **sample-local** `c_out`-major
+    /// position, not its position in the fused buffer, so every sample
+    /// sees the same faulty accumulator lanes.
     ///
     /// # Panics
     ///
-    /// Panics unless every input has `c_in * h * w` elements with valid
-    /// geometry.
-    pub fn forward_batch_chw(
-        &self,
-        inputs: &[&[f32]],
-        h: usize,
-        w: usize,
-        lut: &MulLut,
-    ) -> Vec<Tensor> {
-        self.forward_batch_chw_view(inputs, h, w, MacView::clean(lut))
-    }
-
-    /// [`QConv2d::forward_batch_chw`] under a full site view. The
-    /// accumulator fault indexes each output element by its
-    /// **sample-local** position (`c_out`-major), not its position in
-    /// the fused batch buffer, so every sample sees the same faulty
-    /// accumulator lanes and the batched path stays bit-identical to
-    /// the per-sample one.
-    ///
-    /// # Panics
-    ///
-    /// As [`QConv2d::forward_batch_chw`].
-    pub fn forward_batch_chw_view(
+    /// Panics unless every input has `c_in * h * w` elements and `h`,
+    /// `w` are valid geometry for the layer's kernel.
+    pub fn forward_chw(
         &self,
         inputs: &[&[f32]],
         h: usize,
@@ -239,9 +123,9 @@ impl QConv2d {
             return Vec::new();
         }
         let bsz = inputs.len();
-        // lint: allow(panic) — geometry was validated when the layer was constructed
+        // lint: allow(panic) — the documented contract: h and w are valid geometry for the kernel
         let h_out = self.spec.output_size(h).expect("valid geometry");
-        // lint: allow(panic) — geometry was validated when the layer was constructed
+        // lint: allow(panic) — the documented contract: h and w are valid geometry for the kernel
         let w_out = self.spec.output_size(w).expect("valid geometry");
         let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
         let n = h_out * w_out;
@@ -298,17 +182,6 @@ impl QConv2d {
                 Tensor::from_vec(o, &[self.c_out, h_out, w_out]).expect("conv output shape")
             })
             .collect()
-    }
-
-    /// Forward over a `[C_in, H, W]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a rank or channel mismatch.
-    pub fn forward(&self, x: &Tensor, lut: &MulLut) -> Tensor {
-        assert_eq!(x.ndim(), 3, "QConv2d expects [C,H,W]");
-        assert_eq!(x.shape()[0], self.c_in, "QConv2d input channels");
-        self.forward_chw(x.data(), x.shape()[1], x.shape()[2], lut)
     }
 }
 
@@ -370,66 +243,17 @@ impl QVotes {
         next
     }
 
-    /// Computes the vote tensor `[I, J, D_out]` for units `u` (`[I,
-    /// D_in]`) with the multiplies served by `lut`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward(&self, u: &Tensor, lut: &MulLut) -> Tensor {
-        assert_eq!(u.shape(), [self.i_caps, self.d_in], "QVotes input");
-        let qu = quantize_codes(u.data(), self.in_params);
-        let rows = self.j_caps * self.d_out;
-        let wstride = rows * self.d_in;
-        let mut out = vec![0.0f32; self.i_caps * rows];
-        let mut acc = vec![0u32; rows];
-        for i in 0..self.i_caps {
-            let qu_i = &qu[i * self.d_in..(i + 1) * self.d_in];
-            acc.fill(0);
-            qgemm_nn(
-                &self.qweight[i * wstride..(i + 1) * wstride],
-                qu_i,
-                &mut acc,
-                rows,
-                self.d_in,
-                1,
-                lut,
-            );
-            let cs = col_sums(qu_i, self.d_in, 1);
-            affine_dequant(
-                &acc,
-                &self.wrowsums[i * rows..(i + 1) * rows],
-                &cs,
-                self.d_in,
-                self.wparams,
-                self.in_params,
-                &mut out[i * rows..(i + 1) * rows],
-            );
-        }
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(out, &[self.i_caps, self.j_caps, self.d_out]).expect("votes shape")
-    }
-
-    /// Batched twin of [`QVotes::forward`]: for each input capsule `i`,
-    /// fuses every sample's GEMV into one `(J·D_out × D_in) × (D_in ×
-    /// B)` quantized GEMM. Bit-identical to the per-sample path (each
-    /// output column reduces independently).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward_batch(&self, us: &[&Tensor], lut: &MulLut) -> Vec<Tensor> {
-        self.forward_batch_view(us, MacView::clean(lut))
-    }
-
-    /// [`QVotes::forward_batch`] under a full site view; the
-    /// accumulator fault indexes each output element by its
+    /// Computes the vote tensor `[I, J, D_out]` of each sample in a
+    /// batch of units (`[I, D_in]` each). For each input capsule `i`,
+    /// every sample's GEMV fuses into one `(J·D_out × D_in) × (D_in ×
+    /// B)` quantized GEMM; each output column reduces independently.
+    /// `view.acc`, when set, faults each accumulator at its
     /// sample-local `(i, row)` position.
     ///
     /// # Panics
     ///
-    /// As [`QVotes::forward_batch`].
-    pub fn forward_batch_view(&self, us: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
+    /// Panics on an input shape mismatch.
+    pub fn forward(&self, us: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
         if us.is_empty() {
             return Vec::new();
         }
@@ -501,9 +325,9 @@ impl QVotes {
 
 /// Dynamic routing-by-agreement with its two MAC sites — the weighted
 /// sum `s_j = Σᵢ k_ij·û_{j|i}` and the agreement (logits-update) dot
-/// `û·v` — running on quantized codes through `lut`. The softmax and
-/// squash (the accelerator's special-function units) stay in float and
-/// compute exactly what the float routing computes.
+/// `û·v` — running on quantized codes. The softmax and squash (the
+/// accelerator's special-function units) stay in float and compute
+/// exactly what the float routing computes.
 ///
 /// `votes` is `[I, J, D]` (fully-connected capsules) or `[I, J, D, P]`
 /// (convolutional capsules routing at every spatial position, as in
@@ -513,45 +337,19 @@ impl QVotes {
 /// votes, the coupling coefficients and the squashed capsules.
 ///
 /// The two MAC sites are independent multiplier sites of a
-/// heterogeneous datapath: `sum_lut` serves the weighted sum (the
-/// in-routing MAC-output site) and `agree_lut` the agreement dot (the
-/// logits-update site). Pass the same table twice for a homogeneous
-/// routing block.
+/// heterogeneous datapath: `sum` serves the weighted sum (the
+/// in-routing MAC-output site) and `agree` the agreement dot (the
+/// logits-update site). Pass the same view twice for a homogeneous
+/// routing block. Each view's optional accumulator fault indexes the
+/// weighted-sum accumulator by its `(j, d, p)` slot and the agreement
+/// accumulator by its `(i, j, p)` slot — physical accumulator
+/// locations, reused across routing iterations, so a stuck lane
+/// corrupts every iteration the way real hardware would.
 ///
 /// # Panics
 ///
 /// Panics unless `votes` is rank 3 or 4 and `iterations >= 1`.
 pub fn quantized_routing(
-    votes: &Tensor,
-    iterations: usize,
-    vote_params: QuantParams,
-    coupling_params: QuantParams,
-    act_params: QuantParams,
-    sum_lut: &MulLut,
-    agree_lut: &MulLut,
-) -> Tensor {
-    quantized_routing_view(
-        votes,
-        iterations,
-        vote_params,
-        coupling_params,
-        act_params,
-        MacView::clean(sum_lut),
-        MacView::clean(agree_lut),
-    )
-}
-
-/// [`quantized_routing`] under full site views: each of the two MAC
-/// sites carries its table plus an optional accumulator fault. The
-/// weighted-sum accumulator is indexed by its `(j, d, p)` slot and the
-/// agreement accumulator by its `(i, j, p)` slot — physical
-/// accumulator locations, reused across routing iterations, so a stuck
-/// lane corrupts every iteration the way real hardware would.
-///
-/// # Panics
-///
-/// As [`quantized_routing`].
-pub fn quantized_routing_view(
     votes: &Tensor,
     iterations: usize,
     vote_params: QuantParams,
@@ -744,45 +542,18 @@ impl QConvCaps2d {
         self.conv.fault_weight_codes(model, seed, base_index)
     }
 
-    /// Forward over a capsule tensor whose leading axes fold to
-    /// `C_in·D_in` channels (`[C, D, H, W]`, or `[C·D, H, W]`);
-    /// returns `[C_out, D_out, H', W']` capsules — squashed when the
-    /// float layer squashes, pre-activation otherwise.
+    /// Forward over a batch of capsule tensors whose leading axes fold
+    /// to `C_in·D_in` channels (`[C, D, H, W]`, or `[C·D, H, W]`), all
+    /// of one spatial size; returns `[C_out, D_out, H',
+    /// W']` capsules per sample — squashed when the float layer
+    /// squashes, pre-activation otherwise. The convolution is one fused
+    /// wide GEMM across the batch ([`QConv2d::forward_chw`]) under
+    /// `view`.
     ///
     /// # Panics
     ///
     /// Panics on a geometry mismatch.
-    pub fn forward(&self, x: &Tensor, lut: &MulLut) -> Tensor {
-        let nd = x.ndim();
-        assert!(nd >= 3, "QConvCaps2d expects at least [C, H, W]");
-        let (h, w) = (x.shape()[nd - 2], x.shape()[nd - 1]);
-        assert_eq!(
-            x.len(),
-            self.c_in * self.d_in * h * w,
-            "QConvCaps2d input capsules"
-        );
-        let y = self.conv.forward_chw(x.data(), h, w, lut);
-        self.finish(y)
-    }
-
-    /// Batched twin of [`QConvCaps2d::forward`]: one fused wide GEMM
-    /// across the whole batch (see [`QConv2d::forward_batch_chw`]),
-    /// per-sample squash.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch(&self, xs: &[&Tensor], lut: &MulLut) -> Vec<Tensor> {
-        self.forward_batch_view(xs, MacView::clean(lut))
-    }
-
-    /// [`QConvCaps2d::forward_batch`] under a full site view (table plus
-    /// optional accumulator fault).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch_view(&self, xs: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
+    pub fn forward(&self, xs: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
         }
@@ -801,14 +572,14 @@ impl QConvCaps2d {
             })
             .collect();
         self.conv
-            .forward_batch_chw_view(&inputs, h, w, view)
+            .forward_chw(&inputs, h, w, view)
             .into_iter()
             .map(|y| self.finish(y))
             .collect()
     }
 
-    /// Capsule unfold + optional squash shared by the single and
-    /// batched paths.
+    /// Unfolds one sample's `[C_out·D_out, H', W']` convolution output
+    /// into capsules and squashes them when the float layer does.
     fn finish(&self, y: Tensor) -> Tensor {
         let (h_out, w_out) = (y.shape()[1], y.shape()[2]);
         let p = h_out * w_out;
@@ -899,59 +670,18 @@ impl QConvCaps3d {
         index
     }
 
-    /// Forward over `[C_in, D_in, H, W]` capsules; returns the routed
-    /// `[C_out, D_out, H', W']` capsules. `conv_lut` serves the vote
-    /// convolutions, `sum_lut` the routing weighted sum and `agree_lut`
-    /// the agreement dot — three independently assignable multiplier
-    /// sites.
+    /// Forward over a batch of `[C_in, D_in, H, W]` capsules; returns
+    /// the routed `[C_out, D_out, H', W']` capsules per sample. Three
+    /// independently assignable multiplier sites: `conv` serves the
+    /// vote convolutions, `sum` the routing weighted sum and `agree`
+    /// the agreement dot. Each per-type vote convolution fuses across
+    /// the whole batch (one wide GEMM per type); the routing — whose
+    /// coupling coefficients are input-dependent — runs per sample.
     ///
     /// # Panics
     ///
     /// Panics on a geometry mismatch.
     pub fn forward(
-        &self,
-        x: &Tensor,
-        conv_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Tensor {
-        self.forward_batch(&[x], conv_lut, sum_lut, agree_lut)
-            .pop()
-            // lint: allow(panic) — batch API contract: the executor returns one output per input sample
-            .expect("one sample in, one out")
-    }
-
-    /// Batched twin of [`QConvCaps3d::forward`]: each per-type vote
-    /// convolution fuses across the whole batch (one wide GEMM per
-    /// type); the routing — whose coupling coefficients are
-    /// input-dependent — stays per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch(
-        &self,
-        xs: &[&Tensor],
-        conv_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Vec<Tensor> {
-        self.forward_batch_view(
-            xs,
-            MacView::clean(conv_lut),
-            MacView::clean(sum_lut),
-            MacView::clean(agree_lut),
-        )
-    }
-
-    /// [`QConvCaps3d::forward_batch`] under full site views for the
-    /// three MAC sites (vote convolutions, routing weighted sum,
-    /// agreement dot).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch_view(
         &self,
         xs: &[&Tensor],
         conv: MacView<'_>,
@@ -978,11 +708,7 @@ impl QConvCaps3d {
                 .iter()
                 .map(|x| &x.data()[i * type_len..(i + 1) * type_len])
                 .collect();
-            for (bi, vi) in c
-                .forward_batch_chw_view(&inputs, h, w, conv)
-                .into_iter()
-                .enumerate()
-            {
+            for (bi, vi) in c.forward_chw(&inputs, h, w, conv).into_iter().enumerate() {
                 out_hw = (vi.shape()[1], vi.shape()[2]);
                 if flats[bi].is_empty() {
                     flats[bi].reserve_exact(self.c_in * vi.len());
@@ -998,7 +724,7 @@ impl QConvCaps3d {
                 let votes = Tensor::from_vec(flat, &[self.c_in, self.c_out, self.d_out, p])
                     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
                     .expect("vote assembly");
-                let v = quantized_routing_view(
+                let v = quantized_routing(
                     &votes,
                     self.iterations,
                     self.vote_params,
@@ -1063,55 +789,17 @@ impl QClassCaps {
         self.votes.fault_weight_codes(model, seed, base_index)
     }
 
-    /// Forward over units `[I, D_in]`; returns the routed class
-    /// capsules `[J, D_out]`. `vote_lut` serves the vote transform,
-    /// `sum_lut` the routing weighted sum and `agree_lut` the agreement
-    /// dot — three independently assignable multiplier sites.
+    /// Forward over a batch of units `[I, D_in]`; returns the routed
+    /// class capsules `[J, D_out]` per sample. Three independently
+    /// assignable multiplier sites: `vote` serves the vote transform,
+    /// `sum` the routing weighted sum and `agree` the agreement dot.
+    /// The vote transform fuses across the batch ([`QVotes::forward`]);
+    /// routing runs per sample.
     ///
     /// # Panics
     ///
     /// Panics on an input shape mismatch.
     pub fn forward(
-        &self,
-        u: &Tensor,
-        vote_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Tensor {
-        let votes = self.votes.forward(u, vote_lut);
-        self.route(&votes, MacView::clean(sum_lut), MacView::clean(agree_lut))
-    }
-
-    /// Batched twin of [`QClassCaps::forward`]: the vote transform
-    /// fuses across the batch ([`QVotes::forward_batch`]); routing
-    /// stays per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward_batch(
-        &self,
-        us: &[&Tensor],
-        vote_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Vec<Tensor> {
-        self.forward_batch_view(
-            us,
-            MacView::clean(vote_lut),
-            MacView::clean(sum_lut),
-            MacView::clean(agree_lut),
-        )
-    }
-
-    /// [`QClassCaps::forward_batch`] under full site views for the
-    /// three MAC sites (vote transform, routing weighted sum, agreement
-    /// dot).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward_batch_view(
         &self,
         us: &[&Tensor],
         vote: MacView<'_>,
@@ -1119,28 +807,29 @@ impl QClassCaps {
         agree: MacView<'_>,
     ) -> Vec<Tensor> {
         self.votes
-            .forward_batch_view(us, vote)
+            .forward(us, vote)
             .iter()
-            .map(|votes| self.route(votes, sum, agree))
+            .map(|votes| {
+                quantized_routing(
+                    votes,
+                    self.iterations,
+                    self.vote_params,
+                    self.coupling_params,
+                    self.act_params,
+                    sum,
+                    agree,
+                )
+            })
             .collect()
-    }
-
-    fn route(&self, votes: &Tensor, sum: MacView<'_>, agree: MacView<'_>) -> Tensor {
-        quantized_routing_view(
-            votes,
-            self.iterations,
-            self.vote_params,
-            self.coupling_params,
-            self.act_params,
-            sum,
-            agree,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::AccFault;
+    use redcane_axmul::mult::TruncatedMultiplier;
+    use redcane_axmul::MulLut;
     use redcane_capsnet::routing::dynamic_routing;
     use redcane_capsnet::NoInjection;
     use redcane_nn::Layer;
@@ -1150,21 +839,72 @@ mod tests {
         QuantParams::from_range(min, max, 8).unwrap()
     }
 
-    #[test]
-    fn qdense_with_exact_lut_tracks_float_dense() {
-        let mut rng = TensorRng::from_seed(500);
-        let mut dense = Dense::new(20, 6, &mut rng);
-        let x = rng.uniform(&[20], -1.0, 1.0);
-        let want = dense.forward(&x);
-        let q = QDense::from_dense(&dense, p(-1.0, 1.0)).unwrap();
-        let got = q.forward(&x, &MulLut::exact());
-        let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (a, b) in want.data().iter().zip(got.data()) {
-            assert!(
-                (a - b).abs() < 0.05 * (1.0 + scale),
-                "float {a} vs quantized {b}"
+    /// The output of a batch of one.
+    fn one(mut ys: Vec<Tensor>) -> Tensor {
+        assert_eq!(ys.len(), 1);
+        ys.pop().unwrap()
+    }
+
+    /// Shape plus raw bit patterns, for bit-for-bit comparisons.
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (
+            t.shape().to_vec(),
+            t.data().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// An active accumulator fault: about one bit in twenty flips.
+    fn flips(seed: u64) -> AccFault {
+        AccFault::new(FaultModel::BitFlip { ber: 0.05 }, seed)
+    }
+
+    /// A view over `lut` whose accumulators `acc` faults.
+    fn faulty<'a>(lut: &'a MulLut, acc: &'a AccFault) -> MacView<'a> {
+        MacView {
+            lut,
+            acc: Some(acc),
+        }
+    }
+
+    /// Independent oracle for [`QVotes::forward`]: one sample at a
+    /// time, one `(J·D_out × D_in)` GEMV per input capsule, with the
+    /// accumulator fault at the `(i, row)` slot. Shares nothing with
+    /// the batched path's `bmat` interleave.
+    fn votes_per_sample(q: &QVotes, u: &Tensor, view: MacView<'_>) -> Tensor {
+        let qu = quantize_codes(u.data(), q.in_params);
+        let rows = q.j_caps * q.d_out;
+        let wstride = rows * q.d_in;
+        let mut out = vec![0.0f32; q.i_caps * rows];
+        let mut acc = vec![0u32; rows];
+        for i in 0..q.i_caps {
+            let qu_i = &qu[i * q.d_in..(i + 1) * q.d_in];
+            acc.fill(0);
+            qgemm_nn(
+                &q.qweight[i * wstride..(i + 1) * wstride],
+                qu_i,
+                &mut acc,
+                rows,
+                q.d_in,
+                1,
+                view.lut,
+            );
+            if let Some(f) = view.acc {
+                for (r, slot) in acc.iter_mut().enumerate() {
+                    *slot = f.apply(*slot, (i * rows + r) as u64);
+                }
+            }
+            let cs = col_sums(qu_i, q.d_in, 1);
+            affine_dequant(
+                &acc,
+                &q.wrowsums[i * rows..(i + 1) * rows],
+                &cs,
+                q.d_in,
+                q.wparams,
+                q.in_params,
+                &mut out[i * rows..(i + 1) * rows],
             );
         }
+        Tensor::from_vec(out, &[q.i_caps, q.j_caps, q.d_out]).unwrap()
     }
 
     #[test]
@@ -1174,7 +914,8 @@ mod tests {
         let x = rng.uniform(&[2, 6, 6], -1.0, 1.0);
         let want = conv.forward(&x);
         let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
-        let got = q.forward(&x, &MulLut::exact());
+        let exact = MulLut::exact();
+        let got = one(q.forward_chw(&[x.data()], 6, 6, MacView::clean(&exact)));
         assert_eq!(got.shape(), want.shape());
         let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let mut total = 0.0f32;
@@ -1193,7 +934,8 @@ mod tests {
         let layer = ClassCaps::new(0, "CC", 6, 4, 3, 5, 3, &mut rng);
         let u = rng.uniform(&[6, 3], -1.0, 1.0);
         let q = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
-        let got = q.forward(&u, &MulLut::exact());
+        let exact = MulLut::exact();
+        let got = one(q.forward(&[&u], MacView::clean(&exact)));
         assert_eq!(got.shape(), &[6, 4, 5]);
         // Float oracle: û_{j|i} = W_ij · u_i by direct loops.
         let w = layer.weight().data();
@@ -1226,8 +968,8 @@ mod tests {
             QuantParams::calibrate(&votes3, 8).unwrap(),
             p(0.0, 1.0),
             p(-1.0, 1.0),
-            &exact,
-            &exact,
+            MacView::clean(&exact),
+            MacView::clean(&exact),
         );
         assert_eq!(got.shape(), &[j_caps, d]);
         for (a, b) in want.data().iter().zip(got.data()) {
@@ -1250,8 +992,8 @@ mod tests {
             QuantParams::calibrate(&votes, 8).unwrap(),
             p(0.0, 1.0),
             p(-1.0, 1.0),
-            &exact,
-            &exact,
+            MacView::clean(&exact),
+            MacView::clean(&exact),
         );
         assert_eq!(got.shape(), &[j_caps, d, p_dim]);
         for (a, b) in cache.v.data().iter().zip(got.data()) {
@@ -1262,12 +1004,13 @@ mod tests {
     #[test]
     fn qconv_caps2d_with_exact_lut_tracks_float_layer() {
         let mut rng = TensorRng::from_seed(508);
+        let exact = MulLut::exact();
         for apply_squash in [true, false] {
             let mut layer = ConvCaps2d::new(0, "C2", 2, 4, 3, 4, 3, 2, 1, apply_squash, &mut rng);
             let x = rng.uniform(&[2, 4, 8, 8], -1.0, 1.0);
             let want = layer.forward(&x, &mut NoInjection);
             let q = QConvCaps2d::from_conv_caps(&layer, p(-1.0, 1.0)).unwrap();
-            let got = q.forward(&x, &MulLut::exact());
+            let got = one(q.forward(&[&x], MacView::clean(&exact)));
             assert_eq!(got.shape(), want.shape());
             let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
             for (a, b) in want.data().iter().zip(got.data()) {
@@ -1304,8 +1047,9 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let exact = MulLut::exact();
-        let got = q.forward(&x, &exact, &exact, &exact);
+        let lut = MulLut::exact();
+        let exact = MacView::clean(&lut);
+        let got = one(q.forward(&[&x], exact, exact, exact));
         assert_eq!(got.shape(), want.shape());
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.12, "float {a} vs quantized {b}");
@@ -1336,43 +1080,141 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let exact = MulLut::exact();
-        let got = q.forward(&u, &exact, &exact, &exact);
+        let lut = MulLut::exact();
+        let exact = MacView::clean(&lut);
+        let got = one(q.forward(&[&u], exact, exact, exact));
         assert_eq!(got.shape(), want.shape());
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.1, "float {a} vs quantized {b}");
         }
     }
 
-    /// The fused wide-GEMM batch paths must be bit-identical to their
-    /// per-sample twins: quantization is elementwise and every output
-    /// column's integer reduction is independent of the others.
+    /// A fused wide-GEMM batch of B must equal B batches of one, bit
+    /// for bit, with and without an active accumulator fault:
+    /// quantization is elementwise, every output column's integer
+    /// reduction is independent of the others, and the fault indexes
+    /// each accumulator by its sample-local `co·n + pi` position.
     #[test]
     fn conv_batch_is_bit_identical_to_per_sample() {
         let mut rng = TensorRng::from_seed(520);
         let conv = Conv2d::new(3, 5, 3, 1, 1, &mut rng);
         let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
         let lut = MulLut::exact();
+        let fault = flips(11);
         let xs: Vec<Tensor> = (0..5).map(|_| rng.uniform(&[3, 6, 6], -1.0, 1.0)).collect();
         let inputs: Vec<&[f32]> = xs.iter().map(|x| x.data()).collect();
-        let batched = q.forward_batch_chw(&inputs, 6, 6, &lut);
-        for (x, got) in xs.iter().zip(&batched) {
-            assert_eq!(&q.forward(x, &lut), got);
+        let clean = q.forward_chw(&inputs, 6, 6, MacView::clean(&lut));
+        let faulty = faulty(&lut, &fault);
+        let batched = q.forward_chw(&inputs, 6, 6, faulty);
+        for (bi, x) in inputs.iter().enumerate() {
+            let single = one(q.forward_chw(&[x], 6, 6, faulty));
+            assert_eq!(bits(&single), bits(&batched[bi]), "sample {bi}");
+            let single = one(q.forward_chw(&[x], 6, 6, MacView::clean(&lut)));
+            assert_eq!(bits(&single), bits(&clean[bi]), "clean sample {bi}");
         }
-        assert!(q.forward_batch_chw(&[], 6, 6, &lut).is_empty());
+        assert_ne!(bits(&batched[0]), bits(&clean[0]), "the fault is active");
+        assert!(q.forward_chw(&[], 6, 6, faulty).is_empty());
     }
 
+    /// As `conv_batch_is_bit_identical_to_per_sample`, for the vote
+    /// transform's `bmat` interleave and its `i·rows + r` fault index;
+    /// the per-sample GEMV oracle checks the same outputs.
     #[test]
     fn votes_batch_is_bit_identical_to_per_sample() {
         let mut rng = TensorRng::from_seed(521);
         let layer = ClassCaps::new(0, "CC", 6, 4, 3, 5, 3, &mut rng);
         let q = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
-        let lut = MulLut::tabulate(&redcane_axmul::mult::TruncatedMultiplier::new(5));
+        let lut = MulLut::tabulate(&TruncatedMultiplier::new(5));
+        let fault = flips(12);
         let us: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[6, 3], -1.0, 1.0)).collect();
         let refs: Vec<&Tensor> = us.iter().collect();
-        let batched = q.forward_batch(&refs, &lut);
-        for (u, got) in us.iter().zip(&batched) {
-            assert_eq!(&q.forward(u, &lut), got);
+        for view in [MacView::clean(&lut), faulty(&lut, &fault)] {
+            let batched = q.forward(&refs, view);
+            for (u, got) in us.iter().zip(&batched) {
+                assert_eq!(bits(&one(q.forward(&[u], view))), bits(got));
+                assert_eq!(bits(&votes_per_sample(&q, u, view)), bits(got));
+            }
         }
+        assert_ne!(
+            bits(&one(q.forward(&refs[..1], faulty(&lut, &fault)))),
+            bits(&one(q.forward(&refs[..1], MacView::clean(&lut)))),
+            "the fault is active"
+        );
+    }
+
+    /// As `conv_batch_is_bit_identical_to_per_sample`, for Caps3D with
+    /// an active fault at all three sites: the per-type vote
+    /// convolutions fuse across the batch, and the per-sample routing
+    /// faults its weighted sum at `(j·d + di)·p + pi` and its agreement
+    /// at `(i·j_caps + j)·p + pi`.
+    #[test]
+    fn caps3d_batch_is_bit_identical_to_per_sample() {
+        let mut rng = TensorRng::from_seed(522);
+        let layer = ConvCaps3d::new(0, "C3", 3, 4, 2, 4, 3, 1, 1, 3, &mut rng);
+        let q = QConvCaps3d::from_conv_caps(
+            &layer,
+            p(-1.0, 1.0),
+            p(-2.0, 2.0),
+            p(0.0, 1.0),
+            p(-1.0, 1.0),
+        )
+        .unwrap();
+        let lut = MulLut::tabulate(&TruncatedMultiplier::new(4));
+        let (f_conv, f_sum, f_agree) = (flips(21), flips(22), flips(23));
+        let (conv, sum, agree) = (
+            faulty(&lut, &f_conv),
+            faulty(&lut, &f_sum),
+            faulty(&lut, &f_agree),
+        );
+        let xs: Vec<Tensor> = (0..3)
+            .map(|_| rng.uniform(&[3, 4, 4, 4], -1.0, 1.0))
+            .collect();
+        let refs: Vec<&Tensor> = xs.iter().collect();
+        let batched = q.forward(&refs, conv, sum, agree);
+        for (x, got) in refs.iter().zip(&batched) {
+            assert_eq!(bits(&one(q.forward(&[x], conv, sum, agree))), bits(got));
+        }
+        let clean = MacView::clean(&lut);
+        assert_ne!(
+            bits(&one(q.forward(&refs[..1], clean, clean, clean))),
+            bits(&batched[0]),
+            "the faults are active"
+        );
+    }
+
+    /// As `caps3d_batch_is_bit_identical_to_per_sample`, for ClassCaps:
+    /// fused votes, then per-sample routing under faults at all three
+    /// sites.
+    #[test]
+    fn class_caps_batch_is_bit_identical_to_per_sample() {
+        let mut rng = TensorRng::from_seed(523);
+        let layer = ClassCaps::new(0, "CC", 12, 10, 4, 8, 3, &mut rng);
+        let q = QClassCaps::from_class_caps(
+            &layer,
+            p(-1.0, 1.0),
+            p(-1.0, 1.0),
+            p(0.0, 1.0),
+            p(-1.0, 1.0),
+        )
+        .unwrap();
+        let lut = MulLut::tabulate(&TruncatedMultiplier::new(4));
+        let (f_vote, f_sum, f_agree) = (flips(31), flips(32), flips(33));
+        let (vote, sum, agree) = (
+            faulty(&lut, &f_vote),
+            faulty(&lut, &f_sum),
+            faulty(&lut, &f_agree),
+        );
+        let us: Vec<Tensor> = (0..3).map(|_| rng.uniform(&[12, 4], -1.0, 1.0)).collect();
+        let refs: Vec<&Tensor> = us.iter().collect();
+        let batched = q.forward(&refs, vote, sum, agree);
+        for (u, got) in refs.iter().zip(&batched) {
+            assert_eq!(bits(&one(q.forward(&[u], vote, sum, agree))), bits(got));
+        }
+        let clean = MacView::clean(&lut);
+        assert_ne!(
+            bits(&one(q.forward(&refs[..1], clean, clean, clean))),
+            bits(&batched[0]),
+            "the faults are active"
+        );
     }
 }

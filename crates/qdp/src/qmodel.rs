@@ -7,7 +7,7 @@
 //! computes exactly (ReLU, residual join + squash, capsule→unit
 //! reordering, concatenation, capsule lengths). Lowering walks a
 //! trained float model's layer graph, lowers every layer through
-//! [`LowerToQuant`](crate::LowerToQuant) with the calibrated
+//! [`LowerToQuant`] with the calibrated
 //! [`QuantRanges`], and emits steps that remember their **site** — the
 //! same `(layer, op kind, in-routing)` keys the ranges are stored
 //! under. Execution then resolves, per site, which multiplier serves
@@ -693,7 +693,7 @@ impl QModel {
                 ) => {
                     let inputs: Vec<&[f32]> = vals[*src].iter().map(|v| v.data()).collect();
                     let (h, w) = (vals[*src][0].shape()[1], vals[*src][0].shape()[2]);
-                    conv.forward_batch_chw_view(&inputs, h, w, m.view())
+                    conv.forward_chw(&inputs, h, w, m.view())
                         .into_iter()
                         .map(|mut y| {
                             if *relu {
@@ -707,15 +707,15 @@ impl QModel {
                 }
                 (QStep::CapsConv { layer, src, .. }, StepExec::Mac(m)) => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch_view(&inputs, m.view())
+                    layer.forward(&inputs, m.view())
                 }
                 (QStep::Caps3d { layer, src, .. }, StepExec::Routing { mac, sum, agree }) => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch_view(&inputs, mac.view(), sum.view(), agree.view())
+                    layer.forward(&inputs, mac.view(), sum.view(), agree.view())
                 }
                 (QStep::ClassCaps { layer, src, .. }, StepExec::Routing { mac, sum, agree }) => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch_view(&inputs, mac.view(), sum.view(), agree.view())
+                    layer.forward(&inputs, mac.view(), sum.view(), agree.view())
                 }
                 (QStep::AddSquash { a, b }, _) => (0..bsz)
                     .map(|bi| {
@@ -752,8 +752,8 @@ impl QModel {
         // The last step produces the class capsules [J, D]; their
         // lengths are the network output, computed exactly as the
         // float models compute them.
-        // lint: allow(panic) — resolve() rejects empty programs, so at least one step ran
-        let last = vals.last().expect("at least one step");
+        // lint: allow(panic) — never empty: the input column is pushed before any step runs
+        let last = vals.last().expect("the input column at least");
         last.iter()
             .map(|v| {
                 let (j, d) = (v.shape()[0], v.shape()[1]);
@@ -842,7 +842,8 @@ impl PreparedModel {
 
 /// Classification accuracy of the quantized datapath over a dataset
 /// under a heterogeneous multiplier assignment. Deterministic; samples
-/// run through the batched executor in [`EVAL_BATCH`]-wide fused GEMMs.
+/// run through the batched executor 16 at a time (`EVAL_BATCH`), fused
+/// into wide GEMMs.
 ///
 /// # Errors
 ///

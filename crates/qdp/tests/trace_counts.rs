@@ -9,7 +9,7 @@
 use redcane_axmul::mult::TruncatedMultiplier;
 use redcane_nn::layers::Conv2d;
 use redcane_qdp::kernels::{self, NR};
-use redcane_qdp::{MulLut, QConv2d};
+use redcane_qdp::{MacView, MulLut, QConv2d};
 use redcane_tensor::TensorRng;
 use redcane_trace as trace;
 
@@ -121,23 +121,22 @@ fn conv_gathers_one_byte_per_im2col_slot() {
     let x = rng.uniform(&[2, 7, 7], -1.0, 1.0);
     let lut = approx();
     let (rows, cols) = (2 * 3 * 3, 4 * 4);
-    let single = traced(|| {
-        q.forward_chw(x.data(), 7, 7, &lut);
-    });
-    assert_eq!(
-        single.run(trace::Counter::Im2colBytes),
-        (rows * cols) as u64
-    );
-    // A batch gathers every sample's columns into one fused matrix.
-    let batch = traced(|| {
-        q.forward_batch_chw(&[x.data(), x.data(), x.data()], 7, 7, &lut);
-    });
-    assert_eq!(
-        batch.run(trace::Counter::Im2colBytes),
-        (rows * 3 * cols) as u64
-    );
-    assert_eq!(
-        batch.run(trace::Counter::QgemmMacs),
-        (3 * rows * 3 * cols) as u64
-    );
+    // A batch gathers every sample's columns into one fused matrix and
+    // runs one GEMM over them.
+    for bsz in [1, 3] {
+        let inputs = vec![x.data(); bsz];
+        let snap = traced(|| {
+            q.forward_chw(&inputs, 7, 7, MacView::clean(&lut));
+        });
+        assert_eq!(
+            snap.run(trace::Counter::Im2colBytes),
+            (rows * bsz * cols) as u64,
+            "batch of {bsz}"
+        );
+        assert_eq!(
+            snap.run(trace::Counter::QgemmMacs),
+            (3 * rows * bsz * cols) as u64,
+            "batch of {bsz}"
+        );
+    }
 }
