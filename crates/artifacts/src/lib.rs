@@ -4,8 +4,9 @@
 //! for the expensive, seed-determined products of a training run —
 //! trained weights (via the `capsnet::io` codec), calibrated
 //! quantization ranges and characterized per-component `(NA, NM)`
-//! tables — so every consumer (`pipeline`, `qdp`, `perf`, `probe`,
-//! tests, CI) can restore a pinned artifact instead of retraining.
+//! tables — so every consumer (the `redcane-bench` subcommands `pipeline`,
+//! `qdp`, `faults`, `serve` and `perf`, tests, CI) can restore a pinned
+//! artifact instead of retraining.
 //!
 //! ## Keying
 //!

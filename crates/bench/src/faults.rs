@@ -27,7 +27,7 @@
 //! product error over the run's empirical operand pools, normalized by
 //! the full-scale product — mirroring the `(NA, NM)` characterization
 //! of approximate components; the table is cached in the same
-//! trained-artifact entry the `qdp` bench uses (`qdp::TrainKnobs`).
+//! trained-artifact entry the `qdp` bench uses ([`ModelKnobs::key`]).
 //!
 //! Beyond the single-site trials, each architecture runs one
 //! **correlated multi-site plan**: a single [`FaultPlan`] carrying a
@@ -43,20 +43,18 @@
 //! the output is byte-identical at every `REDCANE_THREADS` setting.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use redcane::datapath::{AccuracyBackend, DatapathAssignment, SiteKey};
 use redcane::faults::{mix64, FaultModel, FaultPlan, FaultTarget, SiteFault};
 use redcane::report::json::Value;
-use redcane_artifacts::{load_or_train, ArtifactStore, FaultChar, Provenance};
-use redcane_axmul::{LutCache, MultiplierLibrary};
-use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, OpKind};
-use redcane_datasets::{generate, Benchmark, DatasetPair, GenerateConfig};
-use redcane_qdp::{FaultMeasured, QModel, QuantMeasured, QuantRanges};
-use redcane_tensor::{par, TensorRng};
+use redcane_artifacts::{FaultChar, Provenance};
+use redcane_capsnet::{CapsModel, OpKind};
+use redcane_qdp::FaultMeasured;
+use redcane_tensor::par;
 
-use crate::qdp::{QdpArch, TrainKnobs, WEIGHT_POOL_CODES};
+use crate::qdp::QdpArch;
+use crate::setup::{run_archs, ModelKnobs, PerArch, Prepared, Shared, WEIGHT_POOL_CODES};
 
 /// The exact multiplier every non-faulted site runs: fault trials
 /// measure the fault's own effect, not an approximate component's.
@@ -67,31 +65,11 @@ const FULL_SCALE: f64 = 65025.0;
 
 /// Configuration of a `faults` resilience sweep; fully determined by
 /// its fields, so equal configs give equal outcomes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultsConfig {
-    /// Which benchmark family to synthesize.
-    pub benchmark: Benchmark,
-    /// Master seed (dataset, init, training, fault realizations).
-    pub seed: u64,
-    /// Architectures to sweep, in output order.
-    pub archs: Vec<QdpArch>,
-    /// Training samples to generate.
-    pub train: usize,
-    /// Test samples to generate.
-    pub test: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Clean training inputs swept through the float network to
-    /// calibrate the quantization ranges.
-    pub calib_samples: usize,
-    /// Test-subset size every trial evaluates on.
-    pub eval_samples: usize,
-    /// Samples per fault-model characterization.
-    pub characterization_samples: usize,
+    /// The model set-up knobs shared with the `qdp` and `serve` benches
+    /// (`eval_samples` is the test subset every trial evaluates on).
+    pub knobs: ModelKnobs,
     /// Weight-code stuck-at-1 bit indices (the critical-bit grid);
     /// only sites backed by weight memory get these trials.
     pub stuck_bits: Vec<u32>,
@@ -109,9 +87,6 @@ pub struct FaultsConfig {
     /// Downgrade dead sites to the exact multiplier (and report the
     /// downgrade) instead of refusing to evaluate.
     pub fail_soft: bool,
-    /// Trained-artifact store directory (shared with the `qdp` bench);
-    /// `None` disables the store.
-    pub artifacts: Option<PathBuf>,
 }
 
 impl FaultsConfig {
@@ -119,17 +94,7 @@ impl FaultsConfig {
     /// architectures under the whole fault grid.
     pub fn smoke() -> Self {
         FaultsConfig {
-            benchmark: Benchmark::MnistLike,
-            seed: 1,
-            archs: vec![QdpArch::CapsNet, QdpArch::DeepCaps],
-            train: 600,
-            test: 150,
-            epochs: 6,
-            batch_size: 16,
-            lr: 2e-3,
-            calib_samples: 64,
-            eval_samples: 40,
-            characterization_samples: 4000,
+            knobs: ModelKnobs::smoke(),
             stuck_bits: (0..8).collect(),
             bers: vec![1e-3, 1e-2, 5e-2],
             acc_bits: vec![8, 16, 24, 30],
@@ -137,21 +102,15 @@ impl FaultsConfig {
             dead: true,
             max_sites: None,
             fail_soft: false,
-            artifacts: None,
         }
     }
 
-    /// CI-sized: scaled-down training matching `QdpConfig::quick()` —
-    /// so CI's qdp-trained artifacts warm this bench — a thinned fault
-    /// grid, and the first few sites per architecture.
+    /// CI-sized: the quick model knobs — so CI's qdp-trained artifacts
+    /// warm this bench — a thinned fault grid, and the first few sites
+    /// per architecture.
     pub fn quick() -> Self {
         FaultsConfig {
-            train: 200,
-            test: 60,
-            epochs: 3,
-            calib_samples: 32,
-            eval_samples: 30,
-            characterization_samples: 2000,
+            knobs: ModelKnobs::quick(),
             stuck_bits: vec![0, 3, 7],
             bers: vec![1e-2],
             acc_bits: vec![24],
@@ -280,7 +239,7 @@ pub fn characterize_fault(
 }
 
 /// Characterizes the whole canonical fault set — the table
-/// [`TrainKnobs::produce`] stores next to the `(NA, NM)` noise table.
+/// the shared model set-up stores next to the `(NA, NM)` noise table.
 pub(crate) fn characterize_canonical(
     activations: &[u8],
     weights: &[u8],
@@ -380,7 +339,8 @@ pub struct FaultsArchOutcome {
 pub struct FaultsOutcome {
     /// The configuration that produced it.
     pub config: FaultsConfig,
-    /// One sweep per configured architecture, in `config.archs` order.
+    /// One sweep per configured architecture, in `config.knobs.archs`
+    /// order.
     pub archs: Vec<FaultsArchOutcome>,
     /// Total wall-clock seconds.
     pub total_s: f64,
@@ -388,7 +348,7 @@ pub struct FaultsOutcome {
 
 /// Runs dataset generation → training (or restore) → the per-site
 /// fault-injection sweep for every configured architecture,
-/// deterministically from `cfg.seed` (and independent of the
+/// deterministically from the seed (and independent of the
 /// worker-thread count).
 ///
 /// # Panics
@@ -396,58 +356,12 @@ pub struct FaultsOutcome {
 /// Panics on empty train/test/eval/arch settings or an empty fault
 /// grid.
 pub fn run_faults(cfg: &FaultsConfig) -> FaultsOutcome {
-    assert!(cfg.train > 0, "faults needs training samples");
-    assert!(
-        cfg.test > 0 && cfg.eval_samples > 0,
-        "faults needs test samples"
-    );
     assert!(
         !trial_faults(cfg, true).is_empty(),
         "faults needs a non-empty fault grid"
     );
-    assert!(
-        !cfg.archs.is_empty(),
-        "faults needs at least one architecture"
-    );
     let t0 = Instant::now();
-
-    let pair = generate(
-        cfg.benchmark,
-        &GenerateConfig {
-            train: cfg.train,
-            test: cfg.test,
-            seed: cfg.seed,
-        },
-    );
-    let library = MultiplierLibrary::evo_approx_like();
-    let luts = LutCache::tabulate_all(&library);
-    let (channels, height, _) = cfg.benchmark.geometry();
-    let store = cfg.artifacts.as_ref().map(ArtifactStore::new);
-
-    let archs = cfg
-        .archs
-        .iter()
-        .map(|&arch| {
-            // Same per-arch init seed as the qdp bench: the shared
-            // artifact key must describe the same trained model.
-            let mut rng = TensorRng::from_seed(
-                cfg.seed
-                    .wrapping_mul(0x9e37_79b9)
-                    .wrapping_add(7 + arch.seed_tag()),
-            );
-            match arch {
-                QdpArch::CapsNet => {
-                    let model = CapsNet::new(&CapsNetConfig::small(channels, height), &mut rng);
-                    sweep_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-                QdpArch::DeepCaps => {
-                    let model = DeepCaps::new(&DeepCapsConfig::small(channels, height), &mut rng);
-                    sweep_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-            }
-        })
-        .collect();
-
+    let archs = run_archs(&cfg.knobs, cfg);
     FaultsOutcome {
         config: cfg.clone(),
         archs,
@@ -455,42 +369,39 @@ pub fn run_faults(cfg: &FaultsConfig) -> FaultsOutcome {
     }
 }
 
-/// Trains (or restores), lowers once, and runs one architecture's
-/// fault sweep.
-fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
-    cfg: &FaultsConfig,
-    arch: QdpArch,
-    mut model: M,
-    pair: &DatasetPair,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
-    store: Option<&ArtifactStore>,
-) -> FaultsArchOutcome {
-    let knobs = TrainKnobs {
-        benchmark: cfg.benchmark,
-        seed: cfg.seed,
-        train: cfg.train,
-        test: cfg.test,
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        calib_samples: cfg.calib_samples,
-        characterization_samples: cfg.characterization_samples,
-        library,
-    };
-    let key = knobs.key(arch);
-    let (payload, provenance) = load_or_train(store, &key, &mut model, |m| knobs.produce(m, pair));
+/// Runs one trained (or restored) and lowered architecture's fault
+/// sweep.
+impl PerArch for FaultsConfig {
+    type Out = FaultsArchOutcome;
 
-    let eval = pair.test.take(cfg.eval_samples);
-    let ranges = QuantRanges::from_entries(&payload.ranges);
-    let qmodel = QModel::lower(&model, &ranges).expect("every site calibrated");
-    let all_sites = qmodel.multiply_sites();
+    fn run<M: CapsModel + Clone + Send + Sync + 'static>(
+        &self,
+        _shared: &Shared,
+        prepared: Prepared<M>,
+    ) -> FaultsArchOutcome {
+        sweep_arch(self, prepared)
+    }
+}
+
+/// One architecture's fault sweep over its prepared model.
+fn sweep_arch<M: CapsModel + Clone + Send + Sync>(
+    cfg: &FaultsConfig,
+    prepared: Prepared<M>,
+) -> FaultsArchOutcome {
+    let Prepared {
+        arch,
+        model,
+        measured,
+        payload,
+        provenance,
+        eval,
+    } = prepared;
+    let all_sites = measured.qmodel().multiply_sites();
     let (sites, skipped_sites) = match cfg.max_sites {
         Some(n) if all_sites.len() > n => (all_sites[..n].to_vec(), all_sites.len() - n),
         _ => (all_sites, 0),
     };
-    let weights_pool = qmodel.weight_code_sample(WEIGHT_POOL_CODES);
-    let measured = QuantMeasured::new(qmodel, luts.clone());
+    let weights_pool = measured.qmodel().weight_code_sample(WEIGHT_POOL_CODES);
     let assignment = DatapathAssignment::uniform(EXACT_COMPONENT);
     let baseline_accuracy = measured
         .evaluate(&model, &eval, &assignment)
@@ -525,15 +436,17 @@ fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
             let cached = payload
                 .fault_table
                 .iter()
-                .find(|c| c.spec == *slot.key() && c.samples == cfg.characterization_samples as u64)
+                .find(|c| {
+                    c.spec == *slot.key() && c.samples == cfg.knobs.characterization_samples as u64
+                })
                 .cloned();
             slot.insert(cached.unwrap_or_else(|| {
                 characterize_fault(
                     fault,
                     &payload.activation_codes,
                     &weights_pool,
-                    cfg.characterization_samples,
-                    cfg.seed ^ 0xfa17,
+                    cfg.knobs.characterization_samples,
+                    cfg.knobs.seed ^ 0xfa17,
                 )
             }));
         }
@@ -555,7 +468,7 @@ fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
             let (layer, kind, in_routing) = &sites[si];
             let fault = &trial_lists[si][ti];
             let plan_seed = mix64(
-                cfg.seed ^ 0xfa17_5eed,
+                cfg.knobs.seed ^ 0xfa17_5eed,
                 (arch.seed_tag() << 32) | si as u64,
                 ti as u64,
             );
@@ -593,7 +506,7 @@ fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
     // strict mode a single dead site would turn the whole combined
     // row into a refusal.
     let combined = {
-        let plan_seed = mix64(cfg.seed ^ 0xfa17_5eed, arch.seed_tag(), 0xc0b1);
+        let plan_seed = mix64(cfg.knobs.seed ^ 0xfa17_5eed, arch.seed_tag(), 0xc0b1);
         let mut plan = FaultPlan::identity(plan_seed);
         let mut faults = Vec::with_capacity(sites.len());
         for (si, list) in trial_lists.iter().enumerate() {
@@ -605,7 +518,7 @@ fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
                 continue;
             }
             let pick = mix64(
-                cfg.seed ^ 0xc0b1_4ed5,
+                cfg.knobs.seed ^ 0xc0b1_4ed5,
                 (arch.seed_tag() << 32) | si as u64,
                 0,
             ) % candidates.len() as u64;
@@ -749,13 +662,13 @@ fn row_head(cfg: &FaultsConfig, arch: &FaultsArchOutcome, row: &str) -> Vec<(Str
         // multi-site plan) after the per-site rows.
         ("schema_version".into(), Value::from(2usize)),
         ("row".into(), Value::from(row)),
-        ("benchmark".into(), Value::from(cfg.benchmark.name())),
+        ("benchmark".into(), Value::from(cfg.knobs.benchmark.name())),
         // String: u64 seeds above 2^53 would round through a JSON number.
-        ("seed".into(), Value::from(cfg.seed.to_string())),
+        ("seed".into(), Value::from(cfg.knobs.seed.to_string())),
         ("arch".into(), Value::from(arch.arch.label())),
         ("model".into(), Value::from(arch.model_name.clone())),
         ("fail_soft".into(), Value::Bool(cfg.fail_soft)),
-        ("eval_samples".into(), Value::from(cfg.eval_samples)),
+        ("eval_samples".into(), Value::from(cfg.knobs.eval_samples)),
         (
             "baseline_accuracy".into(),
             Value::from(arch.baseline_accuracy),
@@ -932,13 +845,16 @@ mod tests {
 
     fn tiny(archs: Vec<QdpArch>) -> FaultsConfig {
         FaultsConfig {
-            archs,
-            train: 60,
-            test: 24,
-            epochs: 1,
-            calib_samples: 8,
-            eval_samples: 12,
-            characterization_samples: 500,
+            knobs: ModelKnobs {
+                archs,
+                train: 60,
+                test: 24,
+                epochs: 1,
+                calib_samples: 8,
+                eval_samples: 12,
+                characterization_samples: 500,
+                ..ModelKnobs::smoke()
+            },
             stuck_bits: vec![3, 7],
             bers: vec![5e-2],
             acc_bits: vec![30],
@@ -946,7 +862,6 @@ mod tests {
             dead: true,
             max_sites: Some(2),
             fail_soft: true,
-            ..FaultsConfig::smoke()
         }
     }
 
@@ -1149,10 +1064,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("redcane-bench-faults-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = FaultsConfig {
-            artifacts: Some(dir.clone()),
-            ..tiny(vec![QdpArch::CapsNet])
-        };
+        let mut cfg = tiny(vec![QdpArch::CapsNet]);
+        cfg.knobs.artifacts = Some(dir.clone());
         let dump = |cfg: &FaultsConfig| {
             let outcome = run_faults(cfg);
             let lines: Vec<String> = faults_to_json_lines(&outcome)
@@ -1165,10 +1078,8 @@ mod tests {
         assert_eq!(cold_prov, Provenance::Trained);
         let (warm_prov, warm) = dump(&cfg);
         assert_eq!(warm_prov, Provenance::Restored);
-        let (uncached_prov, uncached) = dump(&FaultsConfig {
-            artifacts: None,
-            ..cfg.clone()
-        });
+        cfg.knobs.artifacts = None;
+        let (uncached_prov, uncached) = dump(&cfg);
         assert_eq!(uncached_prov, Provenance::Trained);
         assert_eq!(cold, warm, "restore changed the output");
         assert_eq!(cold, uncached, "the store changed the output");

@@ -1,19 +1,25 @@
 //! # redcane-bench
 //!
-//! The workspace's benchmark harness. Two binaries build on this crate:
+//! The workspace's benchmark harness, behind one binary:
 //!
-//! - **`probe`** — trains the reference CapsNet and DeepCaps on their
-//!   benchmark datasets and reports raw train/evaluate throughput;
-//! - **`pipeline`** — runs the complete ReD-CaNe methodology end to end
+//! ```text
+//! redcane-bench <pipeline|qdp|faults|serve|perf|lint> [flags]
+//! ```
+//!
+//! - **`pipeline`** — the complete ReD-CaNe methodology end to end
 //!   (dataset generation → tiny CapsNet training → group extraction →
 //!   noise sweep → component selection → heterogeneous-design re-score
-//!   on the measured quantized datapath) from a fixed seed and emits
-//!   one machine-readable JSON line. This is the hook future
-//!   perf-tracking (`BENCH_*.json`) builds on.
+//!   on the measured quantized datapath) from a fixed seed, as one
+//!   machine-readable JSON line ([`run_pipeline`], [`outcome_to_json`]);
+//! - **`qdp`**, **`faults`**, **`serve`** — measured vs predicted drop
+//!   per multiplier, fault-injection criticality and open-loop serving,
+//!   all on the same trained-and-lowered models ([`setup`]);
+//! - **`perf`** — kernel timings and the regression tripwire;
+//! - **`lint`** — the `redcane-lint` workspace checker.
 //!
-//! The library exposes the pipeline itself ([`run_pipeline`]) so
-//! integration tests can run the exact same code path as the binary and
-//! parse the exact same JSON ([`outcome_to_json`]).
+//! [`cli::parse`] reads every subcommand's flags. The library exposes
+//! each run so integration tests take the exact code path the binary
+//! does and parse the exact same JSON.
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
@@ -25,6 +31,7 @@ pub mod perf;
 pub mod profile;
 pub mod qdp;
 pub mod serve;
+pub mod setup;
 
 use redcane::prelude::*;
 use redcane::report::json::Value;
@@ -42,7 +49,7 @@ use redcane_trace as trace;
 
 /// Everything a pipeline run needs; fully determined by its fields
 /// (no hidden global state), so equal configs give equal outcomes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// Which benchmark family to synthesize.
     pub benchmark: Benchmark,

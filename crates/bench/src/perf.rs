@@ -1,4 +1,4 @@
-//! Kernel and end-to-end timing harness behind the `perf` binary.
+//! Kernel and end-to-end timing harness behind the `perf` subcommand.
 //!
 //! Each probe times one hot-path kernel against its naive reference
 //! twin (the correctness oracle the blocked kernels are tested against)

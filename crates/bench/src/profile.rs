@@ -1,10 +1,10 @@
-//! `--profile` support shared by the bench binaries: turns the
+//! `--profile` support shared by the bench subcommands: turns the
 //! `redcane-trace` planes into a schema-versioned `BENCH_profile.json`
 //! (plus an optional stable-counter file and a folded-stack file).
 //!
 //! The profile document has five sections:
 //!
-//! - `bench` / `schema_version` — which binary wrote it, and v1;
+//! - `bench` / `schema_version` — which subcommand wrote it, and v1;
 //! - `meta` — run metadata that is *expected* to vary between
 //!   otherwise-identical runs: worker-thread count, artifact-store
 //!   provenance. Self-describing CI artifacts, never byte-compared;
@@ -43,7 +43,7 @@ pub const PROFILE_SCHEMA_VERSION: usize = 1;
 pub const VOLATILE_SECTIONS: [&str; 4] = ["meta", "store", "train_counters", "timings"];
 
 /// Where a bench run's profile outputs go; all optional.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileArgs {
     /// Full profile JSON (`--profile PATH`).
     pub profile: Option<PathBuf>,

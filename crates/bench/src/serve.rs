@@ -30,7 +30,6 @@
 //! particular run. [`serve_to_json_lines_stable`] strips the volatile
 //! fields ([`VOLATILE_ROW_KEYS`]) so CI can `cmp` the rest.
 
-use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -38,17 +37,16 @@ use std::time::{Duration, Instant};
 use redcane::datapath::DatapathAssignment;
 use redcane::faults::mix64;
 use redcane::report::json::Value;
-use redcane::{MethodologyConfig, RedCaNe, SelectionConfig, SweepConfig};
-use redcane_artifacts::{load_or_train, ArtifactStore, Provenance};
-use redcane_axmul::{LutCache, MultiplierLibrary};
-use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
-use redcane_datasets::{generate, Benchmark, Dataset, DatasetPair, GenerateConfig};
-use redcane_qdp::{QModel, QuantMeasured, QuantRanges};
+use redcane_artifacts::Provenance;
+use redcane_capsnet::CapsModel;
 use redcane_serve::{Engine, Response, ServeConfig};
-use redcane_tensor::{par, TensorRng};
+use redcane_tensor::par;
 use redcane_trace as trace;
 
-use crate::qdp::{operand_distribution, QdpArch, TrainKnobs};
+use crate::qdp::QdpArch;
+use crate::setup::{
+    operand_distribution, run_archs, step6_design, ModelKnobs, PerArch, Prepared, Shared,
+};
 
 /// The exact multiplier: the baseline assignment, and what "cheapest"
 /// is defined against.
@@ -56,32 +54,12 @@ const EXACT_COMPONENT: &str = "mul8u_1JFF";
 
 /// Configuration of a `serve` bench run; the request stream and every
 /// stable output field are fully determined by these fields.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchConfig {
-    /// Which benchmark family to synthesize.
-    pub benchmark: Benchmark,
-    /// Master seed (dataset, init, training, request stream).
-    pub seed: u64,
-    /// Architectures to serve, in output order.
-    pub archs: Vec<QdpArch>,
-    /// Training samples to generate.
-    pub train: usize,
-    /// Test samples to generate.
-    pub test: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Clean training inputs swept through the float network to
-    /// calibrate the quantization ranges.
-    pub calib_samples: usize,
-    /// Samples per component characterization (step6 selection).
-    pub characterization_samples: usize,
-    /// Size of the eval pool requests draw their inputs (and ground
-    /// truth labels) from.
-    pub eval_samples: usize,
+    /// The model set-up knobs shared with the `qdp` and `faults`
+    /// benches (`eval_samples` sizes the pool requests draw their
+    /// inputs and ground-truth labels from).
+    pub knobs: ModelKnobs,
     /// Requests per architecture's serving session.
     pub requests: usize,
     /// Concurrent client threads feeding the queue.
@@ -101,28 +79,14 @@ pub struct ServeBenchConfig {
     /// Also serve the Step-6 heterogeneous design (runs the full
     /// methodology per architecture — the expensive assignment).
     pub step6: bool,
-    /// Trained-artifact store directory (shared with the `qdp` and
-    /// `faults` benches); `None` disables the store.
-    pub artifacts: Option<PathBuf>,
 }
 
 impl ServeBenchConfig {
     /// The full seeded run: both architectures under all three
-    /// assignments, models trained well above chance. Training knobs
-    /// match `QdpConfig::smoke()`, so the artifact key is shared.
+    /// assignments, models trained well above chance.
     pub fn smoke() -> Self {
         ServeBenchConfig {
-            benchmark: Benchmark::MnistLike,
-            seed: 1,
-            archs: vec![QdpArch::CapsNet, QdpArch::DeepCaps],
-            train: 600,
-            test: 150,
-            epochs: 6,
-            batch_size: 16,
-            lr: 2e-3,
-            calib_samples: 64,
-            characterization_samples: 4000,
-            eval_samples: 40,
+            knobs: ModelKnobs::smoke(),
             requests: 96,
             clients: 4,
             workers: None,
@@ -130,22 +94,16 @@ impl ServeBenchConfig {
             max_wait_us: None,
             arrival_rate_rps: 2000.0,
             step6: true,
-            artifacts: None,
         }
     }
 
-    /// CI-sized: scaled-down training matching `QdpConfig::quick()` —
-    /// so CI's qdp-trained artifacts warm this bench — exact and
-    /// cheapest assignments only (the methodology run is the one
-    /// expensive, already-qdp-covered stage).
+    /// CI-sized: the quick model knobs — so CI's qdp-trained artifacts
+    /// warm this bench — exact and cheapest assignments only (the
+    /// methodology run is the one expensive, already-qdp-covered
+    /// stage).
     pub fn quick() -> Self {
         ServeBenchConfig {
-            train: 200,
-            test: 60,
-            epochs: 3,
-            calib_samples: 32,
-            characterization_samples: 2000,
-            eval_samples: 30,
+            knobs: ModelKnobs::quick(),
             requests: 48,
             clients: 2,
             max_batch: 4,
@@ -260,8 +218,8 @@ pub struct ServeArchOutcome {
 pub struct ServeOutcome {
     /// The configuration that produced it.
     pub config: ServeBenchConfig,
-    /// One session per configured architecture, in `config.archs`
-    /// order.
+    /// One session per configured architecture, in
+    /// `config.knobs.archs` order.
     pub archs: Vec<ServeArchOutcome>,
     /// Serving seconds summed over sessions — the `--budget-s`
     /// tripwire metric (training/restore time excluded, so cold and
@@ -295,10 +253,10 @@ fn request_stream(
     (0..cfg.requests as u64)
         .map(|r| {
             let tag = arch.seed_tag();
-            arrival_us += mix64(cfg.seed ^ 0x5e12_4a11, tag, r) % (2 * mean_gap_us + 1);
+            arrival_us += mix64(cfg.knobs.seed ^ 0x5e12_4a11, tag, r) % (2 * mean_gap_us + 1);
             RequestSpec {
-                model: (mix64(cfg.seed ^ 0x5e12_0001, tag, r) % models as u64) as usize,
-                sample: (mix64(cfg.seed ^ 0x5e12_0002, tag, r) % pool as u64) as usize,
+                model: (mix64(cfg.knobs.seed ^ 0x5e12_0001, tag, r) % models as u64) as usize,
+                sample: (mix64(cfg.knobs.seed ^ 0x5e12_0002, tag, r) % pool as u64) as usize,
                 arrival_us,
             }
         })
@@ -330,57 +288,11 @@ fn fnv_fold(hash: u64, request: u64, prediction: u64) -> u64 {
 /// Panics on empty train/test/eval/request/client/arch settings or a
 /// zero `max_batch`.
 pub fn run_serve(cfg: &ServeBenchConfig) -> ServeOutcome {
-    assert!(cfg.train > 0, "serve needs training samples");
-    assert!(
-        cfg.test > 0 && cfg.eval_samples > 0,
-        "serve needs an eval pool"
-    );
     assert!(cfg.requests > 0, "serve needs requests");
     assert!(cfg.clients > 0, "serve needs client threads");
     assert!(cfg.max_batch > 0, "serve needs a batch ceiling");
-    assert!(
-        !cfg.archs.is_empty(),
-        "serve needs at least one architecture"
-    );
     let t0 = Instant::now();
-
-    let pair = generate(
-        cfg.benchmark,
-        &GenerateConfig {
-            train: cfg.train,
-            test: cfg.test,
-            seed: cfg.seed,
-        },
-    );
-    let library = MultiplierLibrary::evo_approx_like();
-    let luts = LutCache::tabulate_all(&library);
-    let (channels, height, _) = cfg.benchmark.geometry();
-    let store = cfg.artifacts.as_ref().map(ArtifactStore::new);
-
-    let archs: Vec<ServeArchOutcome> = cfg
-        .archs
-        .iter()
-        .map(|&arch| {
-            // Same per-arch init seed as the qdp/faults benches: the
-            // shared artifact key must describe the same trained model.
-            let mut rng = TensorRng::from_seed(
-                cfg.seed
-                    .wrapping_mul(0x9e37_79b9)
-                    .wrapping_add(7 + arch.seed_tag()),
-            );
-            match arch {
-                QdpArch::CapsNet => {
-                    let model = CapsNet::new(&CapsNetConfig::small(channels, height), &mut rng);
-                    serve_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-                QdpArch::DeepCaps => {
-                    let model = DeepCaps::new(&DeepCapsConfig::small(channels, height), &mut rng);
-                    serve_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-            }
-        })
-        .collect();
-
+    let archs = run_archs(&cfg.knobs, cfg);
     ServeOutcome {
         config: cfg.clone(),
         serve_s: archs.iter().map(|a| a.serve_s).sum(),
@@ -389,20 +301,29 @@ pub fn run_serve(cfg: &ServeBenchConfig) -> ServeOutcome {
     }
 }
 
+/// Builds the engine over one trained (or restored) and lowered
+/// architecture and runs its open-loop serving session.
+impl PerArch for ServeBenchConfig {
+    type Out = ServeArchOutcome;
+
+    fn run<M: CapsModel + Clone + Send + Sync + 'static>(
+        &self,
+        shared: &Shared,
+        prepared: Prepared<M>,
+    ) -> ServeArchOutcome {
+        serve_arch(self, shared, &prepared)
+    }
+}
+
 /// The assignments one architecture serves: `(label, component,
 /// assignment)` — exact, cheapest, and (optionally) the Step-6 design.
-#[allow(clippy::too_many_arguments)]
-fn build_assignments<M: CapsModel + Clone + Send + Sync + 'static>(
+fn build_assignments<M: CapsModel + Clone + Send + Sync>(
     cfg: &ServeBenchConfig,
-    arch: QdpArch,
-    model: &M,
-    eval: &Dataset,
-    qmodel: &QModel,
-    activation_codes: Vec<u8>,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
+    shared: &Shared,
+    prepared: &Prepared<M>,
 ) -> Vec<(String, String, DatapathAssignment)> {
-    let cheapest = library
+    let cheapest = shared
+        .library
         .iter()
         .filter(|e| e.name() != EXACT_COMPONENT)
         .min_by(|a, b| {
@@ -427,31 +348,14 @@ fn build_assignments<M: CapsModel + Clone + Send + Sync + 'static>(
         ),
     ];
     if cfg.step6 {
-        // Re-derive the qdp bench's Step-6 design: same seeds, same
-        // empirical operand distribution, same measured re-score — the
-        // serving engine then runs what the methodology selected.
-        let _s = trace::span("methodology");
-        let dist = operand_distribution(activation_codes, qmodel);
-        let measured = QuantMeasured::new(qmodel.clone(), luts.clone());
-        let methodology = RedCaNe::with_library(
-            MethodologyConfig {
-                sweep: SweepConfig {
-                    nm_values: vec![0.5, 0.05, 0.005],
-                    na: 0.0,
-                    seed: cfg.seed ^ 0x6e01 ^ (arch.seed_tag() << 16),
-                    max_test_samples: None,
-                    threads: par::num_threads(),
-                },
-                selection: SelectionConfig {
-                    characterization_samples: cfg.characterization_samples,
-                    seed: cfg.seed ^ 0xc0de,
-                    ..Default::default()
-                },
-                input_distribution: Some(dist),
-            },
-            library.clone(),
+        // The qdp bench's Step-6 design — same seeds, same empirical
+        // operand distribution, same measured re-score: the serving
+        // engine runs what the methodology selected.
+        let dist = operand_distribution(
+            prepared.payload.activation_codes.clone(),
+            prepared.measured.qmodel(),
         );
-        let design = methodology.run_with_measured(model, eval, &measured).design;
+        let design = step6_design(&cfg.knobs, shared, prepared, dist);
         out.push((
             "step6".to_string(),
             "heterogeneous".to_string(),
@@ -461,58 +365,25 @@ fn build_assignments<M: CapsModel + Clone + Send + Sync + 'static>(
     out
 }
 
-/// Trains (or restores), lowers once, builds the engine, and runs one
-/// architecture's open-loop serving session.
-fn serve_arch<M: CapsModel + Clone + Send + Sync + 'static>(
+/// Builds the engine and runs one architecture's open-loop serving
+/// session.
+fn serve_arch<M: CapsModel + Clone + Send + Sync>(
     cfg: &ServeBenchConfig,
-    arch: QdpArch,
-    mut model: M,
-    pair: &DatasetPair,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
-    store: Option<&ArtifactStore>,
+    shared: &Shared,
+    prepared: &Prepared<M>,
 ) -> ServeArchOutcome {
-    let _arch_span = trace::span(arch.label());
-    let knobs = TrainKnobs {
-        benchmark: cfg.benchmark,
-        seed: cfg.seed,
-        train: cfg.train,
-        test: cfg.test,
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        calib_samples: cfg.calib_samples,
-        characterization_samples: cfg.characterization_samples,
-        library,
-    };
-    let key = knobs.key(arch);
-    let (payload, provenance) = {
-        let _s = trace::span("train");
-        load_or_train(store, &key, &mut model, |m| knobs.produce(m, pair))
-    };
-
-    let eval = pair.test.take(cfg.eval_samples);
-    let ranges = QuantRanges::from_entries(&payload.ranges);
-    let qmodel = QModel::lower(&model, &ranges).expect("every site calibrated");
-    let assignments = build_assignments(
-        cfg,
-        arch,
-        &model,
-        &eval,
-        &qmodel,
-        payload.activation_codes.clone(),
-        library,
-        luts,
-    );
+    let (arch, model, eval) = (prepared.arch, &prepared.model, &prepared.eval);
+    let qmodel = prepared.measured.qmodel();
+    let assignments = build_assignments(cfg, shared, prepared);
     let specs = assignments
         .iter()
         .map(|(label, _, assignment)| (label.clone(), qmodel.clone(), assignment.clone()))
         .collect();
-    let engine = Engine::new(specs, luts).expect("library components resolve");
+    let engine = Engine::new(specs, &shared.luts).expect("library components resolve");
     let workers = cfg.workers.unwrap_or_else(par::num_threads).max(1);
     eprintln!(
         "[serve] {} {} — serving {} assignment(s) × {} request(s), {} client(s), {} worker(s)",
-        provenance.label(),
+        prepared.provenance.label(),
         model.name(),
         engine.models(),
         cfg.requests,
@@ -537,7 +408,7 @@ fn serve_arch<M: CapsModel + Clone + Send + Sync + 'static>(
         let start = Instant::now();
         std::thread::scope(|scope| {
             for client in 0..cfg.clients {
-                let (replies, depths, stream, eval) = (&replies, &depths, &stream, &eval);
+                let (replies, depths, stream) = (&replies, &depths, &stream);
                 scope.spawn(move || {
                     let mut mine = Vec::new();
                     let mut seen_depths = Vec::new();
@@ -647,7 +518,7 @@ fn serve_arch<M: CapsModel + Clone + Send + Sync + 'static>(
         },
         queue_depth_max: depths.iter().copied().max().unwrap_or(0),
         serve_s,
-        provenance,
+        provenance: prepared.provenance,
     }
 }
 
@@ -681,9 +552,9 @@ pub fn serve_row_to_json(
         ("bench".into(), Value::from("serve")),
         ("schema_version".into(), Value::from(1usize)),
         ("row".into(), Value::from("assignment")),
-        ("benchmark".into(), Value::from(cfg.benchmark.name())),
+        ("benchmark".into(), Value::from(cfg.knobs.benchmark.name())),
         // String: u64 seeds above 2^53 would round through a JSON number.
-        ("seed".into(), Value::from(cfg.seed.to_string())),
+        ("seed".into(), Value::from(cfg.knobs.seed.to_string())),
         ("arch".into(), Value::from(arch.arch.label())),
         ("model".into(), Value::from(arch.model_name.clone())),
         ("assignment".into(), Value::from(row.label.clone())),
@@ -754,13 +625,16 @@ mod tests {
 
     fn tiny(archs: Vec<QdpArch>) -> ServeBenchConfig {
         ServeBenchConfig {
-            archs,
-            train: 60,
-            test: 24,
-            epochs: 1,
-            calib_samples: 8,
-            characterization_samples: 500,
-            eval_samples: 12,
+            knobs: ModelKnobs {
+                archs,
+                train: 60,
+                test: 24,
+                epochs: 1,
+                calib_samples: 8,
+                characterization_samples: 500,
+                eval_samples: 12,
+                ..ModelKnobs::smoke()
+            },
             requests: 14,
             clients: 2,
             workers: Some(2),
@@ -871,10 +745,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("redcane-bench-serve-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ServeBenchConfig {
-            artifacts: Some(dir.clone()),
-            ..tiny(vec![QdpArch::CapsNet])
-        };
+        let mut cfg = tiny(vec![QdpArch::CapsNet]);
+        cfg.knobs.artifacts = Some(dir.clone());
         let dump = |cfg: &ServeBenchConfig| {
             let outcome = run_serve(cfg);
             let lines: Vec<String> = serve_to_json_lines_stable(&outcome)
@@ -887,10 +759,8 @@ mod tests {
         assert_eq!(cold_prov, Provenance::Trained);
         let (warm_prov, warm) = dump(&cfg);
         assert_eq!(warm_prov, Provenance::Restored);
-        let (uncached_prov, uncached) = dump(&ServeBenchConfig {
-            artifacts: None,
-            ..cfg.clone()
-        });
+        cfg.knobs.artifacts = None;
+        let (uncached_prov, uncached) = dump(&cfg);
         assert_eq!(uncached_prov, Provenance::Trained);
         assert_eq!(cold, warm, "restore changed the stable output");
         assert_eq!(cold, uncached, "the store changed the stable output");

@@ -12,6 +12,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use redcane_bench::profile::{profile_to_json, stable_counters};
 use redcane_bench::qdp::{run_qdp, QdpArch, QdpConfig};
+use redcane_bench::setup::ModelKnobs;
 use redcane_tensor::par;
 use redcane_trace as trace;
 
@@ -28,16 +29,18 @@ const ARCHS: [QdpArch; 2] = [QdpArch::CapsNet, QdpArch::DeepCaps];
 /// distinct `(arch, threads)` runs stay cheap.
 fn tiny(arch: QdpArch) -> QdpConfig {
     QdpConfig {
-        archs: vec![arch],
-        train: 40,
-        test: 16,
-        epochs: 1,
-        calib_samples: 6,
-        eval_samples: 8,
-        characterization_samples: 200,
+        knobs: ModelKnobs {
+            archs: vec![arch],
+            train: 40,
+            test: 16,
+            epochs: 1,
+            calib_samples: 6,
+            eval_samples: 8,
+            characterization_samples: 200,
+            ..ModelKnobs::smoke()
+        },
         components: Some(vec!["mul8u_1JFF".to_string()]),
         heterogeneous: false,
-        ..QdpConfig::smoke()
     }
 }
 

@@ -15,7 +15,7 @@
 //! - `R5(unsafe)` — `unsafe` only in files registered in
 //!   `lint-allow.toml`
 //!
-//! Run it with `cargo run -p redcane-bench --bin lint` (CI does, before
+//! Run it with `cargo run -p redcane-bench -- lint` (CI does, before
 //! the build matrix) or via this crate's tests. Configuration lives in
 //! the checked-in `lint-allow.toml` at the workspace root; the rules
 //! are deliberately config-driven so tightening coverage is a data
