@@ -150,16 +150,26 @@ fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -
         .collect();
     let lut = approx_lut();
     let mut c = vec![0u32; m * n];
-    let hooked = time_ns(reps, || {
+    let mut once = |hooked: bool| {
+        let t = Instant::now();
         c.fill(0);
-        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
+        if hooked {
+            qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
+        } else {
+            qkernels::qgemm_nn_raw(&a, &b, &mut c, m, k, n, &lut);
+        }
         std::hint::black_box(&c);
-    });
-    let raw = time_ns(reps, || {
-        c.fill(0);
-        qkernels::qgemm_nn_raw(&a, &b, &mut c, m, k, n, &lut);
-        std::hint::black_box(&c);
-    });
+        t.elapsed().as_nanos() as f64
+    };
+    // Hooked and raw reps alternate inside one loop, so host drift
+    // reaches both minima alike instead of skewing the ratio.
+    once(true);
+    once(false);
+    let (mut hooked, mut raw) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        hooked = hooked.min(once(true));
+        raw = raw.min(once(false));
+    }
     PerfProbe {
         name: name.to_string(),
         ns_per_op: hooked,
@@ -427,7 +437,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         ),
         // Trace-hook overhead on the disabled fast path; extra reps
         // keep the min-of-N estimate tight enough for the 5% tripwire.
-        qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(50)),
+        qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(500)),
         conv_probe(reps),
     ];
     probes.extend(routing_probes(reps));

@@ -1,25 +1,28 @@
 //! Blocked integer GEMM kernels over a pluggable 8-bit multiply.
 //!
-//! [`qgemm_nn`] dispatches three ways:
+//! [`qgemm_nn`] dispatches four ways:
 //!
 //! - **Exact table** ([`MulLut::is_exact`]): no lookups at all. Each
 //!   product is a `u8 × u8 → u16` multiply widened into the `u32` sum,
 //!   which vectorizes even on baseline SSE2. It splits on `TALL_K`
-//!   into the same two loop orders as the LUT paths below, and runs
-//!   full register tiles at constant width.
-//! - **Approximate table, deep reduction** (`k ≥ TALL_K`): the output
-//!   is computed in `MR×NR` **register tiles**. `u32` accumulators for
-//!   the whole tile live in a local array across the entire `k` loop,
-//!   so `C` is read and written exactly once per tile instead of once
-//!   per `k` step — the memory traffic that capped the tall-`k`
-//!   DeepCaps shapes at ~1.1× over naive.
-//! - **Approximate table, short reduction**: each `B` row is
-//!   **streamed** across all `MR` output rows at full width, amortizing
-//!   loop overhead over `n`.
+//!   into a register-tile path for deep reductions (`MR×NR` `u32`
+//!   accumulators held across the whole `k` loop) and a row-streaming
+//!   path for short ones, and runs full tiles at constant width.
+//! - **Approximate table, wide output** (`n ≥ PACK_N`): per group of
+//!   `MR = 4` rows of `A` and per `k` step, two `[u64; 256]` tables
+//!   each **pack two rows' products** into one word
+//!   (`row_r[v] | row_{r+1}[v] << 32`). One lookup and one add then
+//!   update two outputs in a `u64` lane-pair accumulator; the
+//!   accumulators unpack into `C` once per row group.
+//! - **Approximate table, narrow output**: the four rows are **fused**
+//!   into one pass over each `B` row, so one code load serves four
+//!   lookups.
 //!
-//! Both LUT paths hoist the left operand's 256-entry row, leaving the
-//! 64 KiB [`MulLut`] the only irregular access. Every path sums the
-//! same products, so the dispatch never changes an output bit.
+//! Both LUT paths fetch the left operand's 256-entry row once per
+//! `(row, k step)` — `m·k` fetches per call — and walk two `k` steps per
+//! pass over the outputs, halving the accumulator traffic. Every path
+//! sums the same products into each output, and integer sums do not
+//! depend on order, so the dispatch never changes an output bit.
 //!
 //! Exactness is read from the table's 65 536 entries when the table is
 //! built, not from a component name or model type. The library's exact
@@ -29,15 +32,21 @@
 //! bit that only shows on some operands — can never be mistaken for
 //! exact.
 //!
-//! The accumulator is `u32` (8×8 products are ≤ 65 025, so `k` can
-//! reach ~66 000 before overflow — far beyond any layer in the
-//! workspace; debug builds assert the bound).
+//! The accumulator is `u32`. A table entry is a `u16`, and approximate
+//! tables or faulted views (a stuck-at-1 product bit, say) can reach
+//! `u16::MAX`, so `k` products sum to at most `k · u16::MAX`: that fits
+//! for every `k ≤ MAX_ACC_K` (65 537) — far beyond any layer in the
+//! workspace; debug builds assert the bound. The same bound makes the
+//! packed lanes safe: each 32-bit lane of a `u64` accumulator adds at
+//! most `k` entries of at most `u16::MAX` (two per pass, from the two
+//! tables of consecutive `k` steps), so its running sum never exceeds
+//! `u32::MAX` and no lane carries into its neighbour.
 //!
 //! The naive triple loop survives as [`reference`](mod@reference),
-//! the correctness oracle every path is property-tested against (bit-identical
-//! output — trivially order-independent for integer adds, but the test
-//! keeps the tiling honest across the `TALL_K` split and the exact
-//! dispatch).
+//! the correctness oracle every path is property-tested against
+//! (bit-identical output — trivially order-independent for integer
+//! adds, but the test keeps the kernels honest across the `PACK_N` and
+//! `TALL_K` splits, the leftover rows and the exact dispatch).
 //!
 //! [`affine_dequant`] folds an integer accumulator matrix back to
 //! float: with `value(q) = min + lsb·q` on both operands,
@@ -55,18 +64,29 @@ use redcane_fxp::QuantParams;
 use redcane_axmul::MulLut;
 use redcane_trace as trace;
 
-/// Rows per register tile, matching the float GEMM.
+/// Output rows per group: every path walks `A` four rows at a time,
+/// matching the float GEMM.
 pub const MR: usize = 4;
-/// Columns per register tile: `MR × NR` u32 accumulators live in
-/// registers across the whole `k` reduction.
+/// Columns per exact-table register tile: `MR × NR` u32 accumulators
+/// live in registers across the whole `k` reduction.
 pub const NR: usize = 8;
-/// Reductions at least this deep take the register-tile path: beyond
-/// it the row-streaming kernel's per-`k`-step reload of the `C` rows
-/// costs more than the tile's narrower `B` segments.
+/// Exact-table reductions at least this deep take the register-tile
+/// path: beyond it the row-streaming kernel's per-`k`-step reload of
+/// the `C` rows costs more than the tile's narrower `B` segments.
 const TALL_K: usize = 192;
+/// Approximate-table outputs at least this wide take the pair-packed
+/// path. Building its tables costs 1 024 `u64` writes per two `k`
+/// steps, which the halved lookups repay from about this width on.
+/// Measured on a 2-vCPU Xeon with `m ∈ {16, 24, 32}` and
+/// `k ∈ {9, 49, 144, 288}`: the two paths tie at about 160 columns,
+/// packing wins by 3–17% at 192 and by 1.7–2× at 1 024.
+pub const PACK_N: usize = 192;
 
-/// Largest `k` the `u32` accumulator provably cannot overflow at.
-pub const MAX_ACC_K: usize = (u32::MAX / (255 * 255)) as usize;
+/// Largest `k` the `u32` accumulator provably cannot overflow at: a
+/// table entry is a `u16`, so `k` products sum to at most
+/// `k · u16::MAX` — approximate tables and faulted views can reach
+/// `u16::MAX`, above the exact maximum `255 · 255`.
+pub const MAX_ACC_K: usize = (u32::MAX / u16::MAX as u32) as usize;
 
 /// `C += A·B` over code matrices: row-major `A (m×k)`, `B (k×n)` of
 /// `u8` codes, `C (m×n)` of `u32` sums of `lut` products.
@@ -79,16 +99,12 @@ pub fn qgemm_nn(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
         trace::add(trace::Counter::QgemmCalls, 1);
         trace::add(trace::Counter::QgemmMacs, (m * k * n) as u64);
         // Analytic twin of each path's `lut.row()` call count: the
-        // exact-table paths multiply and fetch none, the tall-k tile
-        // path hoists one row per (tile, k-step, tile-row), the
-        // streaming path one per (output-row, k-step). Kept in
-        // lock-step with the dispatch below by the trace count tests.
+        // exact-table paths multiply and fetch none, and both LUT paths
+        // fetch each left code's row once — one per (output-row,
+        // k-step). Kept in lock-step with the dispatch below by the
+        // trace count tests.
         let fetches = if m > 0 && n > 0 && k > 0 && !lut.is_exact() {
-            if k >= TALL_K {
-                (n.div_ceil(NR) * m * k) as u64
-            } else {
-                (m * k) as u64
-            }
+            (m * k) as u64
         } else {
             0
         };
@@ -116,66 +132,141 @@ pub fn qgemm_nn_raw(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: us
     // u32 adds, so the choice never changes a single output bit — only
     // which memory traffic is paid. An exact table's products are
     // plain multiplies, so it skips the lookups altogether.
-    match (lut.is_exact(), k >= TALL_K) {
-        (true, true) => qgemm_tall_k_exact(a, b, c, m, k, n),
-        (true, false) => qgemm_stream_exact(a, b, c, m, k, n),
-        (false, true) => qgemm_tall_k(a, b, c, m, k, n, lut),
-        (false, false) => qgemm_stream(a, b, c, m, k, n, lut),
+    match (lut.is_exact(), k >= TALL_K, n >= PACK_N) {
+        (true, true, _) => qgemm_tall_k_exact(a, b, c, m, k, n),
+        (true, false, _) => qgemm_stream_exact(a, b, c, m, k, n),
+        (false, _, true) => qgemm_packed(a, b, c, m, k, n, lut),
+        (false, _, false) => qgemm_stream(a, b, c, m, k, n, lut),
     }
 }
 
-/// Register-tile path for deep reductions: `MR × NR` u32 accumulators
-/// live in a local array across the **whole** `k` loop, so `C` is read
-/// and written exactly once per tile instead of once per `k` step (the
-/// traffic that capped the tall-`k` DeepCaps shapes at ~1.1× over
-/// naive).
-#[inline(never)]
-fn qgemm_tall_k(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize, lut: &MulLut) {
-    for i0 in (0..m).step_by(MR) {
-        let mr = MR.min(m - i0);
-        for j0 in (0..n).step_by(NR) {
-            let nr = NR.min(n - j0);
-            let mut acc = [[0u32; NR]; MR];
-            for p in 0..k {
-                let brow = &b[p * n + j0..p * n + j0 + nr];
-                for r in 0..mr {
-                    // Hoist the left operand's 256-entry LUT row: the
-                    // inner loop then indexes by the streamed right
-                    // code alone (`u8` into `[u16; 256]` — checkless).
-                    let row = lut.row(a[(i0 + r) * k + p]);
-                    for (o, &bv) in acc[r][..nr].iter_mut().zip(brow) {
-                        *o += row[bv as usize] as u32;
-                    }
-                }
-            }
-            for (r, arow) in acc.iter().enumerate().take(mr) {
-                let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
-                for (o, &v) in crow.iter_mut().zip(&arow[..nr]) {
-                    *o += v;
-                }
-            }
-        }
+/// Zero products: the partner of an odd `k`'s last step in the
+/// two-step loops below, so that step runs the same loop body.
+static ZERO_ROW: [u16; 256] = [0; 256];
+
+/// The LUT rows of the four left codes `A[i0 + r][p]`, `r < MR`, and
+/// the `B` row of step `p`. Past the end of the reduction (`p == k`)
+/// they are all-zero rows over `B`'s row `p − 1`, which add nothing.
+#[inline(always)]
+fn step<'l, 'b>(
+    a: &[u8],
+    b: &'b [u8],
+    lut: &'l MulLut,
+    i0: usize,
+    k: usize,
+    n: usize,
+    p: usize,
+) -> ([&'l [u16; 256]; MR], &'b [u8]) {
+    if p < k {
+        (
+            std::array::from_fn(|r| lut.row(a[(i0 + r) * k + p])),
+            &b[p * n..(p + 1) * n],
+        )
+    } else {
+        ([&ZERO_ROW; MR], &b[(p - 1) * n..p * n])
     }
 }
 
-/// Row-streaming path for short reductions: each `B` row is streamed
-/// across all `MR` output rows at full width, amortizing loop overhead
-/// over `n` instead of `NR`; re-reading the `C` rows per `k` step is
-/// cheap when `k` is small.
+/// The four `n`-wide rows of a `4 × n` block of `C`.
+fn split_rows(block: &mut [u32], n: usize) -> [&mut [u32]; MR] {
+    let (c0, rest) = block.split_at_mut(n);
+    let (c1, rest) = rest.split_at_mut(n);
+    let (c2, c3) = rest.split_at_mut(n);
+    [c0, c1, c2, c3]
+}
+
+/// `t[v] = lo[v] | hi[v] << 32`: two rows' products in one `u64`.
+#[inline(always)]
+fn pack(t: &mut [u64; 256], lo: &[u16; 256], hi: &[u16; 256]) {
+    for ((o, &l), &h) in t.iter_mut().zip(lo).zip(hi) {
+        *o = u64::from(l) | u64::from(h) << 32;
+    }
+}
+
+/// Narrow-output path (`n < PACK_N`): each group of `MR` output rows
+/// makes one pass over two `B` rows at a time, so one pair of code
+/// loads serves eight lookups and each `C` element is read and written
+/// once per two `k` steps. Rows past the last full group stream one at
+/// a time.
 #[inline(never)]
 fn qgemm_stream(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize, lut: &MulLut) {
-    for i0 in (0..m).step_by(MR) {
-        let mr = MR.min(m - i0);
-        for p in 0..k {
-            let brow = &b[p * n..(p + 1) * n];
-            for r in 0..mr {
-                let row = lut.row(a[(i0 + r) * k + p]);
-                let crow = &mut c[(i0 + r) * n..(i0 + r) * n + n];
-                for (o, &bv) in crow.iter_mut().zip(brow) {
-                    *o += row[bv as usize] as u32;
-                }
+    let full = m - m % MR;
+    for i0 in (0..full).step_by(MR) {
+        let [c0, c1, c2, c3] = split_rows(&mut c[i0 * n..(i0 + MR) * n], n);
+        for p in (0..k).step_by(2) {
+            let ([r0, r1, r2, r3], b0) = step(a, b, lut, i0, k, n, p);
+            let ([s0, s1, s2, s3], b1) = step(a, b, lut, i0, k, n, p + 1);
+            for (((((o0, o1), o2), o3), &u), &v) in c0
+                .iter_mut()
+                .zip(c1.iter_mut())
+                .zip(c2.iter_mut())
+                .zip(c3.iter_mut())
+                .zip(b0)
+                .zip(b1)
+            {
+                let (u, v) = (u as usize, v as usize);
+                *o0 += u32::from(r0[u]) + u32::from(s0[v]);
+                *o1 += u32::from(r1[u]) + u32::from(s1[v]);
+                *o2 += u32::from(r2[u]) + u32::from(s2[v]);
+                *o3 += u32::from(r3[u]) + u32::from(s3[v]);
             }
         }
+    }
+    for i in full..m {
+        let crow = &mut c[i * n..(i + 1) * n];
+        for p in 0..k {
+            let row = lut.row(a[i * k + p]);
+            for (o, &bv) in crow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *o += u32::from(row[bv as usize]);
+            }
+        }
+    }
+}
+
+/// Wide-output path (`n ≥ PACK_N`): per group of `MR` output rows and
+/// per `k` step, two 256-entry `u64` tables each pack two rows'
+/// products (see [`pack`]), so one lookup and one add update two
+/// outputs. Two `k` steps share each pass over the `u64` lane-pair
+/// accumulators, which unpack into `C` once per row group. Leftover
+/// rows take [`qgemm_stream`].
+#[inline(never)]
+fn qgemm_packed(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize, lut: &MulLut) {
+    let full = m - m % MR;
+    // lanes[j] = [rows 0|1, rows 2|3] of column j.
+    let mut lanes = vec![[0u64; 2]; n];
+    let mut tables = [[0u64; 256]; 4];
+    for i0 in (0..full).step_by(MR) {
+        lanes.fill([0; 2]);
+        for p in (0..k).step_by(2) {
+            let ([r0, r1, r2, r3], b0) = step(a, b, lut, i0, k, n, p);
+            let ([s0, s1, s2, s3], b1) = step(a, b, lut, i0, k, n, p + 1);
+            let [t01, t23, u01, u23] = &mut tables;
+            pack(t01, r0, r1);
+            pack(t23, r2, r3);
+            pack(u01, s0, s1);
+            pack(u23, s2, s3);
+            for ((lane, &u), &v) in lanes.iter_mut().zip(b0).zip(b1) {
+                let (u, v) = (u as usize, v as usize);
+                lane[0] += t01[u] + u01[v];
+                lane[1] += t23[u] + u23[v];
+            }
+        }
+        let [c0, c1, c2, c3] = split_rows(&mut c[i0 * n..(i0 + MR) * n], n);
+        for ((((o0, o1), o2), o3), &[l01, l23]) in c0
+            .iter_mut()
+            .zip(c1.iter_mut())
+            .zip(c2.iter_mut())
+            .zip(c3.iter_mut())
+            .zip(&lanes)
+        {
+            *o0 += l01 as u32;
+            *o1 += (l01 >> 32) as u32;
+            *o2 += l23 as u32;
+            *o3 += (l23 >> 32) as u32;
+        }
+    }
+    if full < m {
+        qgemm_stream(&a[full * k..], b, &mut c[full * n..], m - full, k, n, lut);
     }
 }
 
@@ -190,10 +281,12 @@ fn mac_exact(acc: &mut [u32], b: &[u8], a: u8) {
     }
 }
 
-/// Exact-table twin of [`qgemm_tall_k`]: the same `MR × NR` register
-/// tiles with multiplies for lookups. Full tiles get their own loop
-/// with constant widths, so each tile row is one fixed-width vector
-/// operation; edge tiles take the general loop.
+/// Exact-table path for deep reductions: `MR × NR` register tiles of
+/// `u32` accumulators live in a local array across the **whole** `k`
+/// loop, so `C` is read and written once per tile instead of once per
+/// `k` step. Full tiles get their own loop with constant widths, so
+/// each tile row is one fixed-width vector operation; edge tiles take
+/// the general loop.
 #[inline(never)]
 fn qgemm_tall_k_exact(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize) {
     for i0 in (0..m).step_by(MR) {
@@ -226,7 +319,9 @@ fn qgemm_tall_k_exact(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: 
     }
 }
 
-/// Exact-table twin of [`qgemm_stream`].
+/// Exact-table path for short reductions: each `B` row is streamed
+/// across the `MR` output rows at full width; re-reading the `C` rows
+/// per `k` step is cheap when `k` is small.
 #[inline(never)]
 fn qgemm_stream_exact(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize) {
     for i0 in (0..m).step_by(MR) {
@@ -351,6 +446,28 @@ mod tests {
                 reference::qgemm_nn(&a, &b, &mut naive, m, k, n, lut);
                 assert_eq!(fast, naive, "{m}x{k}x{n} [{}]", lut.description());
             }
+        }
+    }
+
+    #[test]
+    fn saturated_table_at_max_acc_k_fills_the_accumulator_exactly() {
+        // Every entry at u16::MAX: k = MAX_ACC_K products sum to
+        // exactly u32::MAX, the worst case an approximate or faulted
+        // table can reach. No path may overflow, and no packed lane may
+        // carry into its neighbour. Five rows leave one over the row
+        // group; the odd k ends on a lone step.
+        let lut = MulLut::exact().faulted_view("saturated", |a| a, |b| b, |_, _| u16::MAX);
+        let (m, k) = (5, MAX_ACC_K);
+        assert_eq!(k % 2, 1);
+        let a = codes(3, m * k);
+        for n in [3, PACK_N] {
+            let b = codes(4, k * n);
+            let mut fast = vec![0u32; m * n];
+            let mut naive = vec![0u32; m * n];
+            qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);
+            reference::qgemm_nn(&a, &b, &mut naive, m, k, n, &lut);
+            assert_eq!(fast, naive, "n = {n}");
+            assert!(fast.iter().all(|&v| v == u32::MAX), "n = {n}");
         }
     }
 

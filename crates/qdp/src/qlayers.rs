@@ -2,7 +2,7 @@
 //! convolutions, capsule votes and the routing MACs.
 //!
 //! Every multiply in these paths goes through a
-//! [`MulLut`](redcane_axmul::MulLut) — i.e. through a behavioral model
+//! [`MulLut`] — i.e. through a behavioral model
 //! of a real 8-bit (possibly approximate) multiplier — while everything
 //! an accelerator computes exactly (code sums for the zero-point
 //! correction, bias adds, the squash / softmax special-function units)
@@ -19,6 +19,7 @@
 //! program composes them into end-to-end quantized inference for any
 //! architecture.
 
+use redcane_axmul::MulLut;
 use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
@@ -358,6 +359,75 @@ pub fn quantized_routing(
     sum: MacView<'_>,
     agree: MacView<'_>,
 ) -> Tensor {
+    route(
+        votes,
+        iterations,
+        vote_params,
+        coupling_params,
+        act_params,
+        sum,
+        agree,
+        weighted_code_sums,
+    )
+}
+
+/// The weighted sum's code products: `acc[j, d, p] = Σᵢ lut(qk[i, j, p],
+/// qu[i, j, d, p])` over `[I, J, P]` coupling codes `qk` and `[I, J, D,
+/// P]` vote codes `qu`, for `dims = (J, D, P)`. `acc` is `[J, D, P]`
+/// and is overwritten.
+type WeightedSum = fn(&[u8], &[u8], (usize, usize, usize), &MulLut, &mut [u32]);
+
+/// [`WeightedSum`] with each coupling code's LUT row fetched once and
+/// reused for the `D` vote codes it multiplies.
+fn weighted_code_sums(
+    qk: &[u8],
+    qu: &[u8],
+    (j_caps, d, p): (usize, usize, usize),
+    lut: &MulLut,
+    acc: &mut [u32],
+) {
+    acc.fill(0);
+    let mut rows: Vec<&[u16; 256]> = Vec::with_capacity(p);
+    for (k_i, u_i) in qk
+        .chunks_exact(j_caps * p)
+        .zip(qu.chunks_exact(j_caps * d * p))
+    {
+        for ((k_ij, u_ij), slots) in k_i
+            .chunks_exact(p)
+            .zip(u_i.chunks_exact(d * p))
+            .zip(acc.chunks_exact_mut(d * p))
+        {
+            if let [kv] = k_ij {
+                // P = 1: one row serves all D contiguous codes.
+                let row = lut.row(*kv);
+                for (o, &u) in slots.iter_mut().zip(u_ij) {
+                    *o += u32::from(row[u as usize]);
+                }
+            } else {
+                rows.clear();
+                rows.extend(k_ij.iter().map(|&kv| lut.row(kv)));
+                for (o_d, u_d) in slots.chunks_exact_mut(p).zip(u_ij.chunks_exact(p)) {
+                    for ((o, &u), row) in o_d.iter_mut().zip(u_d).zip(&rows) {
+                        *o += u32::from(row[u as usize]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`quantized_routing`] over a given [`WeightedSum`].
+#[allow(clippy::too_many_arguments)]
+fn route(
+    votes: &Tensor,
+    iterations: usize,
+    vote_params: QuantParams,
+    coupling_params: QuantParams,
+    act_params: QuantParams,
+    sum: MacView<'_>,
+    agree: MacView<'_>,
+    weighted: WeightedSum,
+) -> Tensor {
     let (i_caps, j_caps, d, p, spatial) = match votes.ndim() {
         3 => (
             votes.shape()[0],
@@ -406,6 +476,7 @@ pub fn quantized_routing(
     let mut b = vec![0.0f32; i_caps * j_caps * p];
     let mut k = vec![0.0f32; i_caps * j_caps * p];
     let mut s = vec![0.0f32; j_caps * d * p];
+    let mut s_acc = vec![0u32; j_caps * d * p];
     let mut v = vec![0.0f32; j_caps * d * p];
     let mut qk_jp = vec![0u32; j_caps * p];
     for iter in 0..iterations {
@@ -429,24 +500,19 @@ pub fn quantized_routing(
         }
         // Weighted sum s[j,d,p] = Σ_i k[i,j,p]·u[i,j,d,p] on codes,
         // then squash (float SFU).
+        weighted(&qk, &qu, (j_caps, d, p), sum.lut, &mut s_acc);
         for j in 0..j_caps {
             for di in 0..d {
                 for pi in 0..p {
-                    let mut acc = 0u32;
-                    for i in 0..i_caps {
-                        acc += sum.lut.mul(
-                            qk[(i * j_caps + j) * p + pi],
-                            qu[((i * j_caps + j) * d + di) * p + pi],
-                        ) as u32;
-                    }
-                    if let Some(f) = sum.acc {
-                        // The physical accumulator slot of element
-                        // (j, d, p), reused every routing iteration.
-                        acc = f.apply(acc, ((j * d + di) * p + pi) as u64);
-                    }
-                    s[(j * d + di) * p + pi] = lk * lu * acc as f32
+                    // The physical accumulator slot of element
+                    // (j, d, p), reused every routing iteration.
+                    let slot = (j * d + di) * p + pi;
+                    let acc = sum
+                        .acc
+                        .map_or(s_acc[slot], |f| f.apply(s_acc[slot], slot as u64));
+                    s[slot] = lk * lu * acc as f32
                         + lk * min_u * qk_jp[j * p + pi] as f32
-                        + lu * min_k * qu_jdp[(j * d + di) * p + pi] as f32
+                        + lu * min_k * qu_jdp[slot] as f32
                         + i_caps as f32 * min_k * min_u;
                 }
             }
@@ -905,6 +971,70 @@ mod tests {
             );
         }
         Tensor::from_vec(out, &[q.i_caps, q.j_caps, q.d_out]).unwrap()
+    }
+
+    /// Independent oracle [`WeightedSum`] for the routing: one slot at
+    /// a time, one `lut.mul` per product, no row reuse.
+    fn weighted_code_sums_per_element(
+        qk: &[u8],
+        qu: &[u8],
+        (j_caps, d, p): (usize, usize, usize),
+        lut: &MulLut,
+        acc: &mut [u32],
+    ) {
+        let i_caps = qk.len() / (j_caps * p);
+        for j in 0..j_caps {
+            for di in 0..d {
+                for pi in 0..p {
+                    let mut sum = 0u32;
+                    for i in 0..i_caps {
+                        sum += u32::from(lut.mul(
+                            qk[(i * j_caps + j) * p + pi],
+                            qu[((i * j_caps + j) * d + di) * p + pi],
+                        ));
+                    }
+                    acc[(j * d + di) * p + pi] = sum;
+                }
+            }
+        }
+    }
+
+    /// The row-hoisted weighted sum must reproduce the per-element
+    /// oracle bit for bit through the whole routing — rank-3 and
+    /// rank-4 votes, an approximate table, active accumulator faults on
+    /// both MAC sites.
+    #[test]
+    fn quantized_routing_matches_the_per_element_weighted_sum() {
+        let mut rng = TensorRng::from_seed(509);
+        let lut = MulLut::tabulate(&TruncatedMultiplier::new(4));
+        let (sum_fault, agree_fault) = (flips(11), flips(12));
+        for shape in [&[8, 4, 5][..], &[4, 3, 4, 6][..]] {
+            let votes = rng.uniform(shape, -1.0, 1.0);
+            let params = QuantParams::calibrate(&votes, 8).unwrap();
+            let run = |sum: MacView<'_>, agree: MacView<'_>, weighted: WeightedSum| {
+                route(
+                    &votes,
+                    3,
+                    params,
+                    p(0.0, 1.0),
+                    p(-1.0, 1.0),
+                    sum,
+                    agree,
+                    weighted,
+                )
+            };
+            let (sum, agree) = (faulty(&lut, &sum_fault), faulty(&lut, &agree_fault));
+            let got = quantized_routing(&votes, 3, params, p(0.0, 1.0), p(-1.0, 1.0), sum, agree);
+            let want = run(sum, agree, weighted_code_sums_per_element);
+            assert_eq!(bits(&got), bits(&want), "votes {shape:?}");
+            // The faults are live: they change the routed capsules.
+            let clean = run(
+                MacView::clean(&lut),
+                MacView::clean(&lut),
+                weighted_code_sums_per_element,
+            );
+            assert_ne!(bits(&got), bits(&clean), "votes {shape:?}");
+        }
     }
 
     #[test]

@@ -1,22 +1,37 @@
 //! Property-based tests pinning the blocked quantized GEMM to its
 //! naive reference oracle — bit-identical across shapes (degenerate
-//! dims and tile-straddling sizes included) and across multiplier
-//! models, exactly as PR 2 pinned the float kernels.
+//! dims, leftover rows and sizes straddling each dispatch threshold
+//! included) and across multiplier models, exactly as the float
+//! kernels are pinned.
 
 use proptest::prelude::*;
 use redcane_axmul::mult::{DrumMultiplier, MitchellLogMultiplier};
 use redcane_qdp::kernels::{self, qgemm_nn};
 use redcane_qdp::MulLut;
 
-/// Dimensions straddling the register tile (`MR = 4`, `NR = 8`) and
-/// the tall-`k` dispatch threshold, degenerate 1s included.
+/// Dimensions straddling the row group (`MR = 4`: most small values
+/// leave leftover rows), the exact register tile (`NR = 8`), the
+/// exact tall-`k` threshold and the packed-width threshold `PACK_N`
+/// (both sides), degenerate 1s included.
 fn dim() -> impl Strategy<Value = usize> {
     (0usize..64).prop_map(|v| match v {
         0 => 1,
         1 => 33,
         2 => 300,
+        3 => kernels::PACK_N - 1,
+        4 => kernels::PACK_N,
         other => 2 + (other % 16),
     })
+}
+
+/// The exact table and two approximate models whose product tables are
+/// wildly nonlinear.
+fn luts() -> [MulLut; 3] {
+    [
+        MulLut::exact(),
+        MulLut::tabulate(&MitchellLogMultiplier::new()),
+        MulLut::tabulate(&DrumMultiplier::new(3)),
+    ]
 }
 
 /// Deterministic code fill (SplitMix-style; no float RNG needed).
@@ -38,14 +53,9 @@ proptest! {
     /// table is wildly nonlinear.
     #[test]
     fn blocked_qgemm_matches_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..500) {
-        let luts = [
-            MulLut::exact(),
-            MulLut::tabulate(&MitchellLogMultiplier::new()),
-            MulLut::tabulate(&DrumMultiplier::new(3)),
-        ];
         let a = codes(seed, m * k);
         let b = codes(seed ^ 0xabcd, k * n);
-        for lut in &luts {
+        for lut in &luts() {
             let mut fast = vec![0u32; m * n];
             let mut naive = vec![0u32; m * n];
             qgemm_nn(&a, &b, &mut fast, m, k, n, lut);
@@ -55,17 +65,18 @@ proptest! {
     }
 
     /// Accumulation into pre-filled output behaves identically in both
-    /// kernels (the blocked path must not clobber prior contents).
+    /// kernels, on every path (no path may clobber prior contents).
     #[test]
     fn blocked_qgemm_accumulates_like_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..200) {
-        let lut = MulLut::exact();
         let a = codes(seed, m * k);
         let b = codes(seed ^ 0x77, k * n);
         let prior: Vec<u32> = codes(seed ^ 0x1234, m * n).into_iter().map(u32::from).collect();
-        let mut fast = prior.clone();
-        let mut naive = prior;
-        qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);
-        kernels::reference::qgemm_nn(&a, &b, &mut naive, m, k, n, &lut);
-        prop_assert_eq!(&fast, &naive);
+        for lut in &luts() {
+            let mut fast = prior.clone();
+            let mut naive = prior.clone();
+            qgemm_nn(&a, &b, &mut fast, m, k, n, lut);
+            kernels::reference::qgemm_nn(&a, &b, &mut naive, m, k, n, lut);
+            prop_assert_eq!(&fast, &naive, "{}x{}x{} [{}]", m, k, n, lut.description());
+        }
     }
 }

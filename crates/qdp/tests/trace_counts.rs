@@ -1,14 +1,14 @@
 //! Pins the quantized GEMM's deterministic work counts: one call plus
 //! `m·k·n` MACs per entry, and the analytic LUT-row-fetch totals for
-//! every dispatch path (an approximate table's row-streaming path below
-//! the tall-`k` threshold and its panel-replay path above it; the exact
+//! every dispatch path (an approximate table's narrow streaming path and
+//! its wide pair-packed path, each fetching `m·k` rows; the exact
 //! table's multiply paths, which fetch no rows). The raw kernel must
 //! stay silent — it is the overhead-probe baseline. Also pins the
 //! quantized convolution's im2col traffic: one byte per gathered code.
 
 use redcane_axmul::mult::TruncatedMultiplier;
 use redcane_nn::layers::Conv2d;
-use redcane_qdp::kernels::{self, NR};
+use redcane_qdp::kernels::{self, PACK_N};
 use redcane_qdp::{MacView, MulLut, QConv2d};
 use redcane_tensor::TensorRng;
 use redcane_trace as trace;
@@ -44,8 +44,8 @@ fn qgemm(m: usize, k: usize, n: usize, lut: &MulLut) -> trace::Snapshot {
 #[test]
 fn stream_path_fetches_one_lut_row_per_a_code() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    // k = 9 is far below the tall-k threshold: the kernel streams B and
-    // fetches one LUT row per (i, p) code of A → m·k rows.
+    // n = 5 is far below the packed-width threshold: the kernel streams
+    // B and fetches one LUT row per (i, p) code of A → m·k rows.
     let (m, k, n) = (4, 9, 5);
     let snap = qgemm(m, k, n, &approx());
     assert_eq!(snap.run(trace::Counter::QgemmCalls), 1);
@@ -54,18 +54,23 @@ fn stream_path_fetches_one_lut_row_per_a_code() {
 }
 
 #[test]
-fn tall_k_path_refetches_rows_once_per_column_panel() {
+fn lut_paths_fetch_one_row_per_a_code_on_both_sides_of_pack_n() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    // k = 200 crosses the tall-k threshold: every NR-wide column panel
-    // replays A's rows → ceil(n/NR) · m · k fetches.
-    let (m, k, n) = (3, 200, 10);
-    let snap = qgemm(m, k, n, &approx());
-    assert_eq!(snap.run(trace::Counter::QgemmCalls), 1);
-    assert_eq!(snap.run(trace::Counter::QgemmMacs), (m * k * n) as u64);
-    assert_eq!(
-        snap.run(trace::Counter::LutRowFetches),
-        (n.div_ceil(NR) * m * k) as u64
-    );
+    // Just below PACK_N the narrow stream runs, at PACK_N the packed
+    // path: both fetch each A code's row once, however deep k is (odd
+    // k and leftover rows included) → m·k fetches.
+    for n in [PACK_N - 1, PACK_N] {
+        for (m, k) in [(4, 9), (7, 201), (3, 2)] {
+            let snap = qgemm(m, k, n, &approx());
+            assert_eq!(snap.run(trace::Counter::QgemmCalls), 1);
+            assert_eq!(snap.run(trace::Counter::QgemmMacs), (m * k * n) as u64);
+            assert_eq!(
+                snap.run(trace::Counter::LutRowFetches),
+                (m * k) as u64,
+                "{m}x{k}x{n}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -80,9 +80,9 @@ pub enum Counter {
     /// Quantized multiply-accumulates: `m·k·n` per qgemm call.
     QgemmMacs,
     /// 256-entry `MulLut` rows fetched by qgemm (counted analytically
-    /// per call, matching the kernel's dispatch: the tall-`k`
-    /// register-tile path re-fetches each row once per column tile,
-    /// and an exact table's multiply paths fetch none).
+    /// per call, matching the kernel's dispatch: both approximate-table
+    /// paths fetch each left code's row once, `m·k` per call, and an
+    /// exact table's multiply paths fetch none).
     LutRowFetches,
     /// `LutCache` lookups that found a tabulated component.
     LutCacheHits,
