@@ -125,6 +125,12 @@ pub trait Injector {
     fn observes_inputs(&self) -> bool {
         false
     }
+
+    /// Called as the forward pass enters stage `stage` (see
+    /// [`CapsModel::forward_from`](crate::CapsModel::forward_from)), with
+    /// the tensor that stage consumes. The default ignores it; a
+    /// recorder can keep `input` to resume later passes at `stage`.
+    fn enter_stage(&mut self, _stage: usize, _input: &Tensor) {}
 }
 
 /// The accurate network: a no-op injector.

@@ -17,6 +17,28 @@ use crate::squash::{caps_lengths, caps_lengths_backward, squash_caps, squash_cap
 /// probabilities) as a rank-1 tensor; `backward_from_lengths` propagates a
 /// gradient on those lengths back through the whole network, accumulating
 /// parameter gradients.
+///
+/// # Stages
+///
+/// The inference pass is a chain of **stages**, numbered from 0. Each
+/// stage consumes one tensor, the output of the stage before it, and
+/// nothing else: no activation crosses a stage boundary except that
+/// tensor. CapsNet has three (Conv1 + ReLU, PrimaryCaps, ClassCaps);
+/// DeepCaps has six (the stem, each of the three residual cells, the
+/// final cell `Caps2D13/14` + `Caps3D` + `Caps2D15`, and ClassCaps on
+/// the concatenated units). A residual cell is one stage because its
+/// skip branch reads the cell input too.
+///
+/// [`forward_from`](CapsModel::forward_from) starts the chain at any
+/// stage and calls [`Injector::enter_stage`] at every stage it enters,
+/// with that stage's input. Resuming is exact: if stage `s` receives
+/// the tensor a full pass fed it, and every site the injector acts on
+/// lies in stage `s` or later, the output is bit-identical to the full
+/// pass. The skipped stages then ran with no perturbation and no
+/// injector state change, and every stage is a pure function of its
+/// input and the weights. The resilience sweep (`core::analysis`)
+/// relies on this to evaluate each noisy cell from clean stage inputs
+/// recorded once.
 pub trait CapsModel {
     /// Architecture + config display name.
     fn name(&self) -> String;
@@ -31,8 +53,21 @@ pub trait CapsModel {
     /// Number of output classes.
     fn num_classes(&self) -> usize;
 
+    /// Inference from stage `stage` on: `x` is that stage's input (the
+    /// image for stage 0). Every classified operation from there on
+    /// calls `injector`, and every stage entered calls
+    /// [`Injector::enter_stage`] first. See [Stages](CapsModel#stages).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is past the last stage or `x` does not have
+    /// that stage's input shape.
+    fn forward_from(&mut self, stage: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor;
+
     /// Full inference pass; every classified operation calls `injector`.
-    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor;
+    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        self.forward_from(0, x, injector)
+    }
 
     /// Backpropagates `d_lengths` (shape `[num_classes]`).
     ///
@@ -141,6 +176,11 @@ pub struct CapsNet {
 }
 
 impl CapsNet {
+    /// Number of stages of [`CapsModel::forward_from`]: 0 Conv1 + ReLU
+    /// (image in), 1 PrimaryCaps (`[F, 1, H, W]` stem capsules in),
+    /// 2 ClassCaps (`[units, D]` primary capsules in).
+    pub const STAGES: usize = 3;
+
     /// Builds a CapsNet with freshly initialized weights.
     pub fn new(cfg: &CapsNetConfig, rng: &mut TensorRng) -> Self {
         let primary_hw = cfg.primary_out_hw();
@@ -206,6 +246,55 @@ impl CapsNet {
     pub fn primary(&self) -> &ConvCaps2d {
         &self.primary
     }
+
+    /// Runs stage `s` of [`CapsModel::forward_from`] on its input.
+    fn stage(&mut self, s: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        injector.enter_stage(s, x);
+        match s {
+            0 => {
+                assert_eq!(
+                    x.shape(),
+                    [
+                        self.cfg.input_channels,
+                        self.cfg.input_hw,
+                        self.cfg.input_hw
+                    ],
+                    "CapsNet input"
+                );
+                if injector.observes_inputs() {
+                    let mut copy = x.clone();
+                    injector.inject(&OpSite::new(0, "Conv1", OpKind::MacInput), &mut copy);
+                }
+                let mut c = self.conv1.forward(x);
+                injector.inject(&OpSite::new(0, "Conv1", OpKind::MacOutput), &mut c);
+                let mut a = self.relu.forward(&c);
+                injector.inject(&OpSite::new(0, "Conv1", OpKind::Activation), &mut a);
+                let (h1, w1) = (a.shape()[1], a.shape()[2]);
+                a.into_reshaped(&[self.cfg.conv1_filters, 1, h1, w1])
+                    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+                    .expect("stem to caps")
+            }
+            1 => caps_to_units(&self.primary.forward(x, injector)),
+            _ => {
+                let v = self.class_caps.forward(x, injector);
+                let lengths = class_lengths(&v, self.cfg.class_caps, self.cfg.class_dim);
+                self.v_cache = Some(v);
+                lengths
+            }
+        }
+    }
+}
+
+/// The `[classes]` capsule lengths of ClassCaps' `[classes, dim]` output.
+fn class_lengths(v: &Tensor, classes: usize, dim: usize) -> Tensor {
+    let v3 = v
+        .reshape(&[classes, dim, 1])
+        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+        .expect("caps form");
+    caps_lengths(&v3)
+        .into_reshaped(&[classes])
+        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+        .expect("drop P")
 }
 
 impl CapsModel for CapsNet {
@@ -224,42 +313,13 @@ impl CapsModel for CapsNet {
         self.cfg.class_caps
     }
 
-    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
-        assert_eq!(
-            x.shape(),
-            [
-                self.cfg.input_channels,
-                self.cfg.input_hw,
-                self.cfg.input_hw
-            ],
-            "CapsNet input"
-        );
-        if injector.observes_inputs() {
-            let mut copy = x.clone();
-            injector.inject(&OpSite::new(0, "Conv1", OpKind::MacInput), &mut copy);
+    fn forward_from(&mut self, stage: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        assert!(stage < Self::STAGES, "CapsNet has no stage {stage}");
+        let mut t = self.stage(stage, x, injector);
+        for s in stage + 1..Self::STAGES {
+            t = self.stage(s, &t, injector);
         }
-        let mut c = self.conv1.forward(x);
-        injector.inject(&OpSite::new(0, "Conv1", OpKind::MacOutput), &mut c);
-        let mut a = self.relu.forward(&c);
-        injector.inject(&OpSite::new(0, "Conv1", OpKind::Activation), &mut a);
-        let (h1, w1) = (a.shape()[1], a.shape()[2]);
-        let caps_in = a
-            .into_reshaped(&[self.cfg.conv1_filters, 1, h1, w1])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("stem to caps");
-        let prim = self.primary.forward(&caps_in, injector);
-        let u = caps_to_units(&prim);
-        let v = self.class_caps.forward(&u, injector);
-        let v3 = v
-            .reshape(&[self.cfg.class_caps, self.cfg.class_dim, 1])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("caps form");
-        let lengths = caps_lengths(&v3)
-            .into_reshaped(&[self.cfg.class_caps])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("drop P");
-        self.v_cache = Some(v);
-        lengths
+        t
     }
 
     fn backward_from_lengths(&mut self, d_lengths: &Tensor) {
@@ -463,6 +523,12 @@ pub struct DeepCaps {
 }
 
 impl DeepCaps {
+    /// Number of stages of [`CapsModel::forward_from`]: 0 the stem (image
+    /// in), 1–3 the residual cells, 4 the final cell (`Caps2D13/14`,
+    /// `Caps3D`, `Caps2D15`), 5 ClassCaps on the concatenated Caps3D +
+    /// skip units.
+    pub const STAGES: usize = 6;
+
     /// Builds a DeepCaps with freshly initialized weights.
     pub fn new(cfg: &DeepCapsConfig, rng: &mut TensorRng) -> Self {
         let (sc, sd) = cfg.stem;
@@ -607,6 +673,47 @@ impl DeepCaps {
     pub fn class_caps(&self) -> &ClassCaps {
         &self.class_caps
     }
+
+    /// Runs stage `s` of [`CapsModel::forward_from`] on its input.
+    fn stage(&mut self, s: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        injector.enter_stage(s, x);
+        match s {
+            0 => {
+                assert_eq!(
+                    x.shape(),
+                    [
+                        self.cfg.input_channels,
+                        self.cfg.input_hw,
+                        self.cfg.input_hw
+                    ],
+                    "DeepCaps input"
+                );
+                let (h, w) = (x.shape()[1], x.shape()[2]);
+                let caps_in = x
+                    .reshape(&[self.cfg.input_channels, 1, h, w])
+                    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+                    .expect("image to caps");
+                self.stem.forward(&caps_in, injector)
+            }
+            1..=3 => self.cells[s - 1].forward(x, injector),
+            4 => {
+                let a = self.last_lead.forward(x, injector);
+                let b = self.last_mid.forward(&a, injector);
+                let c3 = self.caps3d.forward(&b, injector);
+                let d = self.last_skip.forward(&a, injector);
+                let u3 = caps_to_units(&c3);
+                let us = caps_to_units(&d);
+                // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+                Tensor::concat(&[&u3, &us], 0).expect("unit concat")
+            }
+            _ => {
+                let v = self.class_caps.forward(x, injector);
+                let lengths = class_lengths(&v, self.cfg.class_caps, self.cfg.class_dim);
+                self.v_cache = Some(v);
+                lengths
+            }
+        }
+    }
 }
 
 impl CapsModel for DeepCaps {
@@ -625,44 +732,13 @@ impl CapsModel for DeepCaps {
         self.cfg.class_caps
     }
 
-    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
-        assert_eq!(
-            x.shape(),
-            [
-                self.cfg.input_channels,
-                self.cfg.input_hw,
-                self.cfg.input_hw
-            ],
-            "DeepCaps input"
-        );
-        let (h, w) = (x.shape()[1], x.shape()[2]);
-        let caps_in = x
-            .reshape(&[self.cfg.input_channels, 1, h, w])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("image to caps");
-        let mut t = self.stem.forward(&caps_in, injector);
-        for cell in &mut self.cells {
-            t = cell.forward(&t, injector);
+    fn forward_from(&mut self, stage: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        assert!(stage < Self::STAGES, "DeepCaps has no stage {stage}");
+        let mut t = self.stage(stage, x, injector);
+        for s in stage + 1..Self::STAGES {
+            t = self.stage(s, &t, injector);
         }
-        let a = self.last_lead.forward(&t, injector);
-        let b = self.last_mid.forward(&a, injector);
-        let c3 = self.caps3d.forward(&b, injector);
-        let d = self.last_skip.forward(&a, injector);
-        let u3 = caps_to_units(&c3);
-        let us = caps_to_units(&d);
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        let u = Tensor::concat(&[&u3, &us], 0).expect("unit concat");
-        let v = self.class_caps.forward(&u, injector);
-        let v3 = v
-            .reshape(&[self.cfg.class_caps, self.cfg.class_dim, 1])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("caps form");
-        let lengths = caps_lengths(&v3)
-            .into_reshaped(&[self.cfg.class_caps])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("drop P");
-        self.v_cache = Some(v);
-        lengths
+        t
     }
 
     fn backward_from_lengths(&mut self, d_lengths: &Tensor) {
